@@ -3,13 +3,13 @@
 
 GO ?= go
 
-.PHONY: check test race vet build lint mflint gensync prove prove-smoke fuzz-smoke conformance bench-smoke bench-ablation fig9 serve-smoke perf-smoke bench-serve bench-proxy proxy-smoke chaos chaos-smoke
+.PHONY: check test race vet build lint mflint gensync prove prove-smoke fuzz-smoke conformance bench-smoke bench-ablation fig9 serve-smoke perf-smoke bench-serve bench-proxy proxy-smoke chaos chaos-smoke ledger-check
 
 # check is the full pre-merge gate: build, static analysis (vet + the
 # domain-aware mflint contract checks), generated-code drift, the proof
-# cache gate, tests, and the race detector over the worker pool and
-# blocked kernels.
-check: build lint gensync prove-smoke test race
+# cache gate, tests, the race detector over the worker pool and
+# blocked kernels, and the mfledger benchmark module's own vet + tests.
+check: build lint gensync prove-smoke test race ledger-check
 
 build:
 	$(GO) build ./...
@@ -91,10 +91,19 @@ test:
 # race exercises the persistent worker pool, panel recycling, and the
 # parallel blocked/tiled paths under the race detector, plus the public
 # API package, the exact-reduction accumulator (whose server folds shard
-# across goroutines), and the mfserve stack (wire framing, batching
-# server incl. the e2e loopback parity tests, pooled client).
+# across the worker pool), and the mfserve stack (wire framing, the
+# shared daemon skeleton, batching server incl. the e2e loopback parity
+# tests, proxy, pooled client).
 race:
 	$(GO) test -race ./internal/blas/ ./internal/exact/ ./mf/ ./serve/...
+
+# ledger-check vets and tests the mfledger benchmark against this
+# checkout's serve/ packages (~25 s). mfledger is its own Go module
+# (replace multifloats => ../), so the root `go build ./...` and
+# `go test ./...` never compile it: without this gate a serve/ API break
+# would pass and only surface when the benchmark is built.
+ledger-check:
+	cd mfledger && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke gives each native fuzz target a short budget (the go fuzzer
 # accepts one target per invocation). CI runs this on every push; longer

@@ -19,12 +19,14 @@
 // SIGINT/SIGTERM trigger a graceful drain: the listener closes,
 // in-flight forwards and open reduction streams finish (bounded by
 // -drain-timeout), then the process exits. With -debug-addr set, an
-// HTTP endpoint serves expvar counters at /debug/vars (mfproxy.*
-// namespace) and net/http/pprof profiles at /debug/pprof/.
+// HTTP endpoint serves the proxy's counters at /debug/vars (the
+// "mfproxy" object, keyed like proxy.Snapshot's JSON) and
+// net/http/pprof profiles at /debug/pprof/.
 package main
 
 import (
 	"context"
+	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -92,6 +94,7 @@ func main() {
 		p.Addr(), len(addrs), *cacheBytes, *reduceShards, *loadFactor)
 
 	if *debugAddr != "" {
+		expvar.Publish("mfproxy", expvar.Func(func() any { return p.Stats().Snapshot() }))
 		go func() {
 			log.Printf("mfproxy: debug HTTP on http://%s/debug/vars and /debug/pprof/", *debugAddr)
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {

@@ -12,13 +12,14 @@
 //
 // SIGINT/SIGTERM trigger a graceful drain: the listener closes, admitted
 // requests finish (bounded by -drain-timeout), then the process exits.
-// With -debug-addr set, an HTTP endpoint serves expvar counters at
-// /debug/vars (mfserve.* namespace) and net/http/pprof profiles at
-// /debug/pprof/.
+// With -debug-addr set, an HTTP endpoint serves the server's counters at
+// /debug/vars (the "mfserve" object, keyed like server.Snapshot's JSON)
+// and net/http/pprof profiles at /debug/pprof/.
 package main
 
 import (
 	"context"
+	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -67,6 +68,7 @@ func main() {
 	if *debugAddr != "" {
 		// expvar's init registers /debug/vars on the default mux; the pprof
 		// import registers /debug/pprof/*. One listener serves both.
+		expvar.Publish("mfserve", expvar.Func(func() any { return s.Stats().Snapshot() }))
 		go func() {
 			log.Printf("mfserved: debug HTTP on http://%s/debug/vars and /debug/pprof/", *debugAddr)
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {

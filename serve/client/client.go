@@ -199,6 +199,8 @@ func (c *Client) dial() (*poolConn, error) {
 	}, nil
 }
 
+// get returns a pooled connection or dials a fresh one. A dial failure
+// is retryable; a closed client is not.
 func (c *Client) get() (*poolConn, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
@@ -207,8 +209,12 @@ func (c *Client) get() (*poolConn, error) {
 	case pc := <-c.conns:
 		return pc, nil
 	default:
-		return c.dial()
 	}
+	pc, err := c.dial()
+	if err != nil {
+		return nil, &transientError{err: err}
+	}
+	return pc, nil
 }
 
 func (c *Client) put(pc *poolConn) {
@@ -320,76 +326,105 @@ type transientError struct {
 func (e *transientError) Error() string { return e.err.Error() }
 func (e *transientError) Unwrap() error { return e.err }
 
-// try performs a single attempt on one pooled connection.
-func (c *Client) try(ctx context.Context, req *wire.Request) ([]float64, error) {
-	pc, err := c.get()
-	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			return nil, err
-		}
-		return nil, &transientError{err: err}
-	}
-	req.ID = c.nextID.Add(1)
-	req.Deadline = time.Time{}
-	ioDeadline := time.Now().Add(c.ioTimeout)
-	if d, ok := ctx.Deadline(); ok {
-		req.Deadline = d
-		if d.Before(ioDeadline) {
-			ioDeadline = d.Add(100 * time.Millisecond) // allow the server's own deadline answer to arrive
-		}
-	}
-	pc.nc.SetDeadline(ioDeadline)
+// integrityErr types a transport-integrity violation: still retryable
+// (a fresh connection carries no taint), but distinguishable from the
+// server rejecting or failing the request.
+func integrityErr(err error) error {
+	return &transientError{err: fmt.Errorf("%w: %w", ErrIntegrity, err)}
+}
 
-	fail := func(err error) ([]float64, error) {
-		pc.nc.Close()
-		return nil, &transientError{err: err}
-	}
-	// failIntegrity marks the failure as a transport-integrity violation:
-	// still retryable (a fresh connection carries no taint), but typed so
-	// callers can distinguish "the network corrupted bytes" from "the
-	// server rejected or failed the request".
-	failIntegrity := func(err error) ([]float64, error) {
-		pc.nc.Close()
-		return nil, &transientError{err: fmt.Errorf("%w: %w", ErrIntegrity, err)}
-	}
-	if err := wire.WriteRequest(pc.bw, req); err != nil {
-		return fail(err)
-	}
-	if err := pc.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	resp, err := wire.ReadResponse(pc.br)
-	if err != nil {
-		if errors.Is(err, wire.ErrChecksum) || errors.Is(err, wire.ErrMagic) ||
-			errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrFrameType) ||
-			errors.Is(err, wire.ErrTooLarge) || errors.Is(err, wire.ErrMalformed) {
-			return failIntegrity(err)
-		}
-		return fail(err)
-	}
-	if resp.ID != req.ID {
-		// Stream desync (e.g. a stale response after a previous timeout on
-		// this conn): the connection is unusable.
-		return failIntegrity(fmt.Errorf("response id %d for request %d", resp.ID, req.ID))
-	}
-	c.put(pc)
-
+// statusErr maps a response status to its typed error (nil for
+// StatusOK).
+func statusErr(resp *wire.Response) error {
 	switch resp.Status {
 	case wire.StatusOK:
-		if want := wire.RespElems(req.Op, req.Width, req.Count, req.M); len(resp.Data) != want {
-			return nil, fmt.Errorf("%w: result slab %d elements, want %d", ErrServer, len(resp.Data), want)
-		}
-		return resp.Data, nil
+		return nil
 	case wire.StatusOverloaded:
-		return nil, &transientError{
+		return &transientError{
 			err:        ErrOverloaded,
 			retryAfter: time.Duration(resp.RetryAfterMs) * time.Millisecond,
 		}
 	case wire.StatusDeadlineExceeded:
-		return nil, ErrDeadlineExceeded
+		return ErrDeadlineExceeded
 	case wire.StatusBadRequest:
-		return nil, ErrBadRequest
+		return ErrBadRequest
 	default:
-		return nil, fmt.Errorf("%w (status %v)", ErrServer, resp.Status)
+		return fmt.Errorf("%w (status %v)", ErrServer, resp.Status)
 	}
+}
+
+// checkSlab checks an OK result slab against the requested shape.
+func checkSlab(data []float64, want int) ([]float64, error) {
+	if len(data) != want {
+		return nil, fmt.Errorf("%w: result slab %d elements, want %d", ErrServer, len(data), want)
+	}
+	return data, nil
+}
+
+// ctxDeadline is ctx's deadline, or the zero time (no deadline).
+func ctxDeadline(ctx context.Context) time.Time {
+	if d, ok := ctx.Deadline(); ok {
+		return d
+	}
+	return time.Time{}
+}
+
+// armDeadline bounds the connection's next exchange: ioTimeout from now,
+// or just past the request deadline when that comes first, so the
+// server's own deadline answer can still arrive.
+func (pc *poolConn) armDeadline(ioTimeout time.Duration, deadline time.Time) {
+	io := time.Now().Add(ioTimeout)
+	if !deadline.IsZero() && deadline.Before(io) {
+		io = deadline.Add(100 * time.Millisecond)
+	}
+	pc.nc.SetDeadline(io)
+}
+
+// recv reads the next response and checks that it answers request id.
+// A failed read or a desynced ID leaves the connection's byte stream
+// unusable, so recv closes it and returns a retryable error — typed
+// ErrIntegrity when the bytes themselves cannot be trusted.
+func (pc *poolConn) recv(id uint64) (*wire.Response, error) {
+	resp, err := wire.ReadResponse(pc.br)
+	if err == nil && resp.ID == id {
+		return resp, nil
+	}
+	pc.nc.Close()
+	switch {
+	case err == nil:
+		// Stream desync (e.g. a stale response after a previous timeout
+		// on this conn).
+		return nil, integrityErr(fmt.Errorf("response id %d for request %d", resp.ID, id))
+	case wire.Untrusted(err):
+		return nil, integrityErr(err)
+	default:
+		return nil, &transientError{err: err}
+	}
+}
+
+// try performs a single attempt on one pooled connection.
+func (c *Client) try(ctx context.Context, req *wire.Request) ([]float64, error) {
+	pc, err := c.get()
+	if err != nil {
+		return nil, err
+	}
+	req.ID = c.nextID.Add(1)
+	req.Deadline = ctxDeadline(ctx)
+	pc.armDeadline(c.ioTimeout, req.Deadline)
+	if err = wire.WriteRequest(pc.bw, req); err == nil {
+		err = pc.bw.Flush()
+	}
+	if err != nil {
+		pc.nc.Close()
+		return nil, &transientError{err: err}
+	}
+	resp, err := pc.recv(req.ID)
+	if err != nil {
+		return nil, err
+	}
+	c.put(pc)
+	if err := statusErr(resp); err != nil {
+		return nil, err
+	}
+	return checkSlab(resp.Data, wire.RespElems(req.Op, req.Width, req.Count, req.M))
 }

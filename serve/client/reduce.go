@@ -2,9 +2,7 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"multifloats/mf"
 	"multifloats/serve/wire"
@@ -108,7 +106,8 @@ func (c *Client) DotExact4(ctx context.Context, x, y []mf.Float64x4) (mf.Float64
 
 // reduce runs one reduction over the width-w component slabs x (and y
 // for dot). Operands that fit one chunk go through the ordinary
-// single-request path; longer ones stream.
+// single-request path; longer ones stream through a ReduceStream, and
+// a retry restarts the whole stream from chunk 0.
 func (c *Client) reduce(ctx context.Context, op wire.Op, width int, x, y []float64) ([]float64, error) {
 	if op == wire.OpDotExact && len(y) != len(x) {
 		return nil, fmt.Errorf("%w: operand lengths %d and %d differ", ErrBadRequest, len(x)/width, len(y)/width)
@@ -118,127 +117,22 @@ func (c *Client) reduce(ctx context.Context, op wire.Op, width int, x, y []float
 		return c.do(ctx, &wire.Request{Op: op, Width: width, Count: count, M: wire.FlagReduceFinal, X: x, Y: y})
 	}
 	return c.withRetries(ctx, func() ([]float64, error) {
-		return c.tryReduce(ctx, op, width, x, y, count)
-	})
-}
-
-// tryReduce performs one whole-stream attempt on one pooled connection:
-// write chunks pipelined (bounded by reduceWindow), read acks as they
-// come back, take the result from the final response.
-func (c *Client) tryReduce(ctx context.Context, op wire.Op, width int, x, y []float64, count int) ([]float64, error) {
-	pc, err := c.get()
-	if err != nil {
-		if errors.Is(err, ErrClosed) {
+		s, err := c.StartReduce(ctx, op, width, 0)
+		if err != nil {
 			return nil, err
 		}
-		return nil, &transientError{err: err}
-	}
-	id := c.nextID.Add(1)
-	var deadline time.Time
-	ioDeadline := time.Now().Add(c.ioTimeout)
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-		if d.Before(ioDeadline) {
-			ioDeadline = d.Add(100 * time.Millisecond)
-		}
-	}
-	pc.nc.SetDeadline(ioDeadline)
-
-	fail := func(err error) ([]float64, error) {
-		pc.nc.Close()
-		return nil, &transientError{err: err}
-	}
-	failIntegrity := func(err error) ([]float64, error) {
-		pc.nc.Close()
-		return nil, &transientError{err: fmt.Errorf("%w: %w", ErrIntegrity, err)}
-	}
-
-	chunk := c.reduceChunk
-	nchunks := (count + chunk - 1) / chunk
-	var result []float64
-	read := 0
-	// readOne consumes the next response in stream order. Any non-OK
-	// status poisons the stream mid-flight (responses for already-written
-	// chunks may still be in the pipe), so every failure path closes the
-	// connection; the permanent statuses surface as permanent errors.
-	readOne := func() ([]float64, error) {
-		resp, err := wire.ReadResponse(pc.br)
-		if err != nil {
-			if errors.Is(err, wire.ErrChecksum) || errors.Is(err, wire.ErrMagic) ||
-				errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrFrameType) ||
-				errors.Is(err, wire.ErrTooLarge) || errors.Is(err, wire.ErrMalformed) {
-				return failIntegrity(err)
+		for lo := 0; ; lo += c.reduceChunk {
+			hi := min(lo+c.reduceChunk, count)
+			xs, ys := x[lo*width:hi*width], y
+			if y != nil {
+				ys = y[lo*width : hi*width]
 			}
-			return fail(err)
-		}
-		if resp.ID != id {
-			return failIntegrity(fmt.Errorf("response id %d for request %d", resp.ID, id))
-		}
-		final := read == nchunks-1
-		read++
-		switch resp.Status {
-		case wire.StatusOK:
-		case wire.StatusOverloaded:
-			pc.nc.Close()
-			return nil, &transientError{
-				err:        ErrOverloaded,
-				retryAfter: time.Duration(resp.RetryAfterMs) * time.Millisecond,
+			if hi == count {
+				return s.Finish(hi-lo, xs, ys, false)
 			}
-		case wire.StatusDeadlineExceeded:
-			pc.nc.Close()
-			return nil, ErrDeadlineExceeded
-		case wire.StatusBadRequest:
-			pc.nc.Close()
-			return nil, ErrBadRequest
-		default:
-			pc.nc.Close()
-			return nil, fmt.Errorf("%w (status %v)", ErrServer, resp.Status)
-		}
-		if final {
-			if len(resp.Data) != width {
-				pc.nc.Close()
-				return nil, fmt.Errorf("%w: result slab %d elements, want %d", ErrServer, len(resp.Data), width)
-			}
-			result = resp.Data
-		} else if len(resp.Data) != 0 {
-			return failIntegrity(fmt.Errorf("chunk ack carried %d elements", len(resp.Data)))
-		}
-		return nil, nil
-	}
-
-	for s := 0; s < nchunks; s++ {
-		lo, hi := s*chunk, min((s+1)*chunk, count)
-		req := &wire.Request{
-			ID: id, Deadline: deadline, Op: op, Width: width,
-			Count: hi - lo, X: x[lo*width : hi*width],
-		}
-		if s == nchunks-1 {
-			req.M = wire.FlagReduceFinal
-		}
-		if op == wire.OpDotExact {
-			req.Y = y[lo*width : hi*width]
-		}
-		if err := wire.WriteRequest(pc.bw, req); err != nil {
-			return fail(err)
-		}
-		// Keep at most reduceWindow chunks unacknowledged.
-		if s+1-read >= reduceWindow {
-			if err := pc.bw.Flush(); err != nil {
-				return fail(err)
-			}
-			if _, err := readOne(); err != nil {
+			if err := s.Send(hi-lo, xs, ys); err != nil {
 				return nil, err
 			}
 		}
-	}
-	if err := pc.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	for read < nchunks {
-		if _, err := readOne(); err != nil {
-			return nil, err
-		}
-	}
-	c.put(pc)
-	return result, nil
+	})
 }

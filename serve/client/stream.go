@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -45,27 +44,12 @@ func (c *Client) StartReduce(ctx context.Context, op wire.Op, width, hops int) (
 	}
 	pc, err := c.get()
 	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			return nil, err
-		}
-		return nil, &transientError{err: err}
+		return nil, err
 	}
-	s := &ReduceStream{c: c, pc: pc, ctx: ctx, id: c.nextID.Add(1), op: op, width: width, hops: hops}
-	if d, ok := ctx.Deadline(); ok {
-		s.deadline = d
-	}
-	s.refreshIODeadline()
-	return s, nil
-}
-
-// refreshIODeadline re-arms the connection deadline so a long stream
-// of timely chunks is never killed by a budget sized for one exchange.
-func (s *ReduceStream) refreshIODeadline() {
-	io := time.Now().Add(s.c.ioTimeout)
-	if !s.deadline.IsZero() && s.deadline.Before(io) {
-		io = s.deadline.Add(100 * time.Millisecond)
-	}
-	s.pc.nc.SetDeadline(io)
+	return &ReduceStream{
+		c: c, pc: pc, ctx: ctx, id: c.nextID.Add(1), op: op, width: width, hops: hops,
+		deadline: ctxDeadline(ctx),
+	}, nil
 }
 
 // fail poisons the stream: the connection (which may hold server-side
@@ -75,14 +59,6 @@ func (s *ReduceStream) fail(err error) error {
 	s.done = true
 	s.err = err
 	return err
-}
-
-func (s *ReduceStream) failTransient(err error) error {
-	return s.fail(&transientError{err: err})
-}
-
-func (s *ReduceStream) failIntegrity(err error) error {
-	return s.fail(&transientError{err: fmt.Errorf("%w: %w", ErrIntegrity, err)})
 }
 
 // writeChunk writes one chunk frame and enforces the ack window.
@@ -96,18 +72,20 @@ func (s *ReduceStream) writeChunk(m, count int, x, y []float64) error {
 	if err := s.ctx.Err(); err != nil {
 		return s.fail(err)
 	}
-	s.refreshIODeadline()
+	// Re-armed per chunk, so a long stream of timely chunks is never
+	// killed by a budget sized for one exchange.
+	s.pc.armDeadline(s.c.ioTimeout, s.deadline)
 	req := &wire.Request{
 		ID: s.id, Deadline: s.deadline, Op: s.op, Width: s.width,
 		Hops: s.hops, Count: count, M: m, X: x, Y: y,
 	}
 	if err := wire.WriteRequest(s.pc.bw, req); err != nil {
-		return s.failTransient(err)
+		return s.fail(&transientError{err: err})
 	}
 	s.sent++
 	if s.sent-s.read >= reduceWindow {
 		if err := s.pc.bw.Flush(); err != nil {
-			return s.failTransient(err)
+			return s.fail(&transientError{err: err})
 		}
 		if _, err := s.readOne(false, false); err != nil {
 			return err
@@ -116,39 +94,22 @@ func (s *ReduceStream) writeChunk(m, count int, x, y []float64) error {
 	return nil
 }
 
-// readOne consumes the next in-order response. For the final response
-// it returns the result slab, validated against the requested shape.
+// readOne consumes the next in-order response. Any failure, including
+// a non-OK status, poisons the stream: acks for already-written chunks
+// may still be in the pipe. For the final response it returns the
+// result slab, validated against the requested shape.
 func (s *ReduceStream) readOne(final, raw bool) ([]float64, error) {
-	resp, err := wire.ReadResponse(s.pc.br)
+	resp, err := s.pc.recv(s.id)
+	if err == nil {
+		s.read++
+		err = statusErr(resp)
+	}
 	if err != nil {
-		if errors.Is(err, wire.ErrChecksum) || errors.Is(err, wire.ErrMagic) ||
-			errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrFrameType) ||
-			errors.Is(err, wire.ErrTooLarge) || errors.Is(err, wire.ErrMalformed) {
-			return nil, s.failIntegrity(err)
-		}
-		return nil, s.failTransient(err)
-	}
-	if resp.ID != s.id {
-		return nil, s.failIntegrity(fmt.Errorf("response id %d for request %d", resp.ID, s.id))
-	}
-	s.read++
-	switch resp.Status {
-	case wire.StatusOK:
-	case wire.StatusOverloaded:
-		return nil, s.fail(&transientError{
-			err:        ErrOverloaded,
-			retryAfter: time.Duration(resp.RetryAfterMs) * time.Millisecond,
-		})
-	case wire.StatusDeadlineExceeded:
-		return nil, s.fail(ErrDeadlineExceeded)
-	case wire.StatusBadRequest:
-		return nil, s.fail(ErrBadRequest)
-	default:
-		return nil, s.fail(fmt.Errorf("%w (status %v)", ErrServer, resp.Status))
+		return nil, s.fail(err)
 	}
 	if !final {
 		if len(resp.Data) != 0 {
-			return nil, s.failIntegrity(fmt.Errorf("chunk ack carried %d elements", len(resp.Data)))
+			return nil, s.fail(integrityErr(fmt.Errorf("chunk ack carried %d elements", len(resp.Data))))
 		}
 		return nil, nil
 	}
@@ -156,10 +117,11 @@ func (s *ReduceStream) readOne(final, raw bool) ([]float64, error) {
 	if raw {
 		want = wire.ReduceRawElems
 	}
-	if len(resp.Data) != want {
-		return nil, s.fail(fmt.Errorf("%w: result slab %d elements, want %d", ErrServer, len(resp.Data), want))
+	data, err := checkSlab(resp.Data, want)
+	if err != nil {
+		return nil, s.fail(err)
 	}
-	return resp.Data, nil
+	return data, nil
 }
 
 // Send streams one non-final chunk of count elements: x (and y for dot)
@@ -183,7 +145,7 @@ func (s *ReduceStream) Finish(count int, x, y []float64, raw bool) ([]float64, e
 		return nil, err
 	}
 	if err := s.pc.bw.Flush(); err != nil {
-		return nil, s.failTransient(err)
+		return nil, s.fail(&transientError{err: err})
 	}
 	var result []float64
 	for s.read < s.sent {

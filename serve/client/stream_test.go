@@ -2,8 +2,10 @@ package client
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,5 +161,101 @@ func TestReduceStreamAbort(t *testing.T) {
 	}
 	if got[0] != 42 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestSumExactRestartsWholeStream: a multi-chunk SumExact whose first
+// attempt loses its connection mid-stream is retried as a whole stream
+// — a fresh ID, from chunk 0 — and the result is the exact sum, so no
+// chunk of the lost attempt is counted.
+func TestSumExactRestartsWholeStream(t *testing.T) {
+	const chunk, n, k = 4, 37, 3 // 10 chunks; the first attempt dies after chunk k
+	rng := rand.New(rand.NewSource(9))
+	xs := make([]float64, n)
+	var want exact.Accumulator
+	for i := range xs {
+		xs[i] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(500)-250)
+		want.Add(xs[i])
+	}
+
+	// The fake folds each stream ID exactly and answers like a server: an
+	// empty ack per chunk, the rounded sum on the final one.
+	var mu sync.Mutex
+	var ids []uint64       // stream IDs in first-seen order
+	var firsts [][]float64 // each stream's first chunk
+	chunks := map[uint64]int{}
+	accs := map[uint64]*exact.Accumulator{}
+	fs := newFakeServer(t, func(_ int64, req *wire.Request) *wire.Response {
+		mu.Lock()
+		defer mu.Unlock()
+		if accs[req.ID] == nil {
+			ids = append(ids, req.ID)
+			firsts = append(firsts, req.X)
+			accs[req.ID] = new(exact.Accumulator)
+		}
+		chunks[req.ID]++
+		if len(ids) == 1 && chunks[req.ID] > k {
+			return nil // drop the connection
+		}
+		accs[req.ID].AddValues(req.X)
+		if req.M&wire.FlagReduceFinal == 0 {
+			return &wire.Response{Status: wire.StatusOK}
+		}
+		return &wire.Response{Status: wire.StatusOK, Data: []float64{accs[req.ID].Sum()}}
+	})
+	c, err := Dial(fs.ln.Addr().String(), WithReduceChunk(chunk), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	got, err := c.SumExact(context.Background(), xs)
+	if err != nil {
+		t.Fatalf("SumExact: %v", err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want.Sum()) {
+		t.Fatalf("SumExact = %v, want %v", got, want.Sum())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ids) != 2 || ids[0] == ids[1] {
+		t.Fatalf("stream IDs %v, want two distinct (the lost attempt and its restart)", ids)
+	}
+	if nc := (n + chunk - 1) / chunk; chunks[ids[1]] != nc {
+		t.Fatalf("restart sent %d chunks, want all %d", chunks[ids[1]], nc)
+	}
+	for i, v := range firsts[1] {
+		if math.Float64bits(v) != math.Float64bits(xs[i]) {
+			t.Fatalf("restart did not begin at chunk 0: element %d = %v, want %v", i, v, xs[i])
+		}
+	}
+}
+
+// TestSumExactBadRequestMidStreamNotRetried: a permanent status on a
+// chunk ack fails the whole call at once, without a second stream.
+func TestSumExactBadRequestMidStreamNotRetried(t *testing.T) {
+	var mu sync.Mutex
+	chunks := map[uint64]int{}
+	fs := newFakeServer(t, func(_ int64, req *wire.Request) *wire.Response {
+		mu.Lock()
+		defer mu.Unlock()
+		if chunks[req.ID]++; chunks[req.ID] == 2 {
+			return &wire.Response{Status: wire.StatusBadRequest}
+		}
+		return &wire.Response{Status: wire.StatusOK}
+	})
+	c, err := Dial(fs.ln.Addr().String(), WithReduceChunk(4), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.SumExact(context.Background(), make([]float64, 40)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("err = %v, want ErrBadRequest", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(chunks) != 1 {
+		t.Fatalf("server saw %d streams, want 1 (no retry on a permanent status)", len(chunks))
 	}
 }

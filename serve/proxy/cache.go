@@ -151,7 +151,7 @@ func (c *resultCache) put(key [sha256.Size]byte, data []float64) {
 	}
 	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, data: data})
 	c.bytes += cost
-	c.stats.cacheSize(cost)
+	c.stats.CacheBytes.Add(cost)
 	for c.bytes > c.max {
 		el := c.ll.Back()
 		if el == nil {
@@ -161,6 +161,6 @@ func (c *resultCache) put(key [sha256.Size]byte, data []float64) {
 		delete(c.m, ent.key)
 		freed := entryCost(ent.data)
 		c.bytes -= freed
-		c.stats.cacheSize(-freed)
+		c.stats.CacheBytes.Add(-freed)
 	}
 }

@@ -1,121 +1,60 @@
 package proxy
 
 import (
-	"expvar"
 	"sync/atomic"
+
+	"multifloats/serve/internal/daemon"
 )
 
-// Stats are per-Proxy atomic counters, mirrored into the process-wide
-// "mfproxy.*" expvar namespace (served at /debug/vars when the daemon's
-// debug listener is enabled) — same split as serve/server's Stats:
-// tests assert on an instance, operators scrape one namespace.
+// Stats are per-Proxy atomic counters: the ones every daemon keeps
+// (Requests, Responses, Overloads, DeadlineMisses, ProtocolErrors,
+// ChecksumErrors, IdleTimeouts, ActiveConns, ReduceChunks, Reductions —
+// see serve/internal/daemon) plus the cluster tier's own. cmd/mfproxy
+// publishes the Snapshot at /debug/vars as the "mfproxy" object.
 type Stats struct {
-	Requests       atomic.Int64 // frames accepted off the wire
-	Responses      atomic.Int64 // frames written back downstream
-	CacheHits      atomic.Int64 // responses served from the result cache
-	CacheMisses    atomic.Int64 // cacheable requests that went upstream
-	CacheBytes     atomic.Int64 // current cache footprint
-	Failovers      atomic.Int64 // attempts re-routed to another backend
-	Ejections      atomic.Int64 // backends ejected for consecutive failures
-	Reinstates     atomic.Int64 // ejected backends restored by a probe
-	LoopRejects    atomic.Int64 // requests rejected at the proxy-hop limit
-	Overloads      atomic.Int64 // requests answered StatusOverloaded
-	DeadlineMisses atomic.Int64 // requests answered StatusDeadlineExceeded
-	ProtocolErrors atomic.Int64 // malformed frames / bad requests
-	ChecksumErrors atomic.Int64 // ingress frames rejected on CRC32C mismatch
-	IdleTimeouts   atomic.Int64 // connections closed for idling/stalling
-	ActiveConns    atomic.Int64
-	ReduceChunks   atomic.Int64 // reduction chunks forwarded to shards
-	Reductions     atomic.Int64 // reduction streams completed downstream
-	Reshards       atomic.Int64 // reduction shard streams replayed on failover
+	counters
+	CacheHits   atomic.Int64 // responses served from the result cache
+	CacheMisses atomic.Int64 // cacheable requests that went upstream
+	CacheBytes  atomic.Int64 // current cache footprint
+	Failovers   atomic.Int64 // attempts re-routed to another backend
+	Ejections   atomic.Int64 // backends ejected for consecutive failures
+	Reinstates  atomic.Int64 // ejected backends restored by a probe
+	LoopRejects atomic.Int64 // requests rejected at the proxy-hop limit
+	Reshards    atomic.Int64 // reduction shard streams replayed on failover
 }
 
-// Snapshot is a plain-struct copy for JSON reporting.
+// Snapshot is a plain-struct copy for JSON reporting; the shared
+// counters' fields are promoted, so snap.Requests resolves.
 type Snapshot struct {
-	Requests       int64 `json:"requests"`
-	Responses      int64 `json:"responses"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheBytes     int64 `json:"cache_bytes"`
-	Failovers      int64 `json:"failovers"`
-	Ejections      int64 `json:"ejections"`
-	Reinstates     int64 `json:"reinstates"`
-	LoopRejects    int64 `json:"loop_rejects"`
-	Overloads      int64 `json:"overloads"`
-	DeadlineMisses int64 `json:"deadline_misses"`
-	ProtocolErrors int64 `json:"protocol_errors"`
-	ChecksumErrors int64 `json:"checksum_errors"`
-	IdleTimeouts   int64 `json:"idle_timeouts"`
-	ActiveConns    int64 `json:"active_conns"`
-	ReduceChunks   int64 `json:"reduce_chunks"`
-	Reductions     int64 `json:"reductions"`
-	Reshards       int64 `json:"reshards"`
+	counterSnapshot
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	CacheBytes  int64 `json:"cache_bytes"`
+	Failovers   int64 `json:"failovers"`
+	Ejections   int64 `json:"ejections"`
+	Reinstates  int64 `json:"reinstates"`
+	LoopRejects int64 `json:"loop_rejects"`
+	Reshards    int64 `json:"reshards"`
 }
+
+// The shared counter types under unexported names, so embedding them
+// promotes their fields without adding an exported field.
+type (
+	counters        = daemon.Counters
+	counterSnapshot = daemon.CounterSnapshot
+)
 
 // Snapshot returns a consistent-enough point-in-time copy.
 func (s *Stats) Snapshot() Snapshot {
 	return Snapshot{
-		Requests:       s.Requests.Load(),
-		Responses:      s.Responses.Load(),
-		CacheHits:      s.CacheHits.Load(),
-		CacheMisses:    s.CacheMisses.Load(),
-		CacheBytes:     s.CacheBytes.Load(),
-		Failovers:      s.Failovers.Load(),
-		Ejections:      s.Ejections.Load(),
-		Reinstates:     s.Reinstates.Load(),
-		LoopRejects:    s.LoopRejects.Load(),
-		Overloads:      s.Overloads.Load(),
-		DeadlineMisses: s.DeadlineMisses.Load(),
-		ProtocolErrors: s.ProtocolErrors.Load(),
-		ChecksumErrors: s.ChecksumErrors.Load(),
-		IdleTimeouts:   s.IdleTimeouts.Load(),
-		ActiveConns:    s.ActiveConns.Load(),
-		ReduceChunks:   s.ReduceChunks.Load(),
-		Reductions:     s.Reductions.Load(),
-		Reshards:       s.Reshards.Load(),
+		counterSnapshot: s.counters.Snapshot(),
+		CacheHits:       s.CacheHits.Load(),
+		CacheMisses:     s.CacheMisses.Load(),
+		CacheBytes:      s.CacheBytes.Load(),
+		Failovers:       s.Failovers.Load(),
+		Ejections:       s.Ejections.Load(),
+		Reinstates:      s.Reinstates.Load(),
+		LoopRejects:     s.LoopRejects.Load(),
+		Reshards:        s.Reshards.Load(),
 	}
 }
-
-var (
-	evRequests       = expvar.NewInt("mfproxy.requests")
-	evResponses      = expvar.NewInt("mfproxy.responses")
-	evCacheHits      = expvar.NewInt("mfproxy.cache_hits")
-	evCacheMisses    = expvar.NewInt("mfproxy.cache_misses")
-	evCacheBytes     = expvar.NewInt("mfproxy.cache_bytes")
-	evFailovers      = expvar.NewInt("mfproxy.failovers")
-	evEjections      = expvar.NewInt("mfproxy.ejections")
-	evReinstates     = expvar.NewInt("mfproxy.reinstates")
-	evLoopRejects    = expvar.NewInt("mfproxy.loop_rejects")
-	evOverloads      = expvar.NewInt("mfproxy.overloads")
-	evDeadlineMisses = expvar.NewInt("mfproxy.deadline_misses")
-	evProtocolErrors = expvar.NewInt("mfproxy.protocol_errors")
-	evChecksumErrors = expvar.NewInt("mfproxy.checksum_errors")
-	evIdleTimeouts   = expvar.NewInt("mfproxy.idle_timeouts")
-	evConns          = expvar.NewInt("mfproxy.conns")
-	evReduceChunks   = expvar.NewInt("mfproxy.reduce_chunks")
-	evReductions     = expvar.NewInt("mfproxy.reductions")
-	evReshards       = expvar.NewInt("mfproxy.reshards")
-)
-
-func (s *Stats) reqIn()     { s.Requests.Add(1); evRequests.Add(1) }
-func (s *Stats) respOut()   { s.Responses.Add(1); evResponses.Add(1) }
-func (s *Stats) cacheHit()  { s.CacheHits.Add(1); evCacheHits.Add(1) }
-func (s *Stats) cacheMiss() { s.CacheMisses.Add(1); evCacheMisses.Add(1) }
-func (s *Stats) cacheSize(d int64) {
-	s.CacheBytes.Add(d)
-	evCacheBytes.Add(d)
-}
-func (s *Stats) failover()    { s.Failovers.Add(1); evFailovers.Add(1) }
-func (s *Stats) ejection()    { s.Ejections.Add(1); evEjections.Add(1) }
-func (s *Stats) reinstate()   { s.Reinstates.Add(1); evReinstates.Add(1) }
-func (s *Stats) loopReject()  { s.LoopRejects.Add(1); evLoopRejects.Add(1) }
-func (s *Stats) overload()    { s.Overloads.Add(1); evOverloads.Add(1) }
-func (s *Stats) deadline()    { s.DeadlineMisses.Add(1); evDeadlineMisses.Add(1) }
-func (s *Stats) protoErr()    { s.ProtocolErrors.Add(1); evProtocolErrors.Add(1) }
-func (s *Stats) checksumErr() { s.ChecksumErrors.Add(1); evChecksumErrors.Add(1) }
-func (s *Stats) idleTimeout() { s.IdleTimeouts.Add(1); evIdleTimeouts.Add(1) }
-func (s *Stats) connOpen()    { s.ActiveConns.Add(1); evConns.Add(1) }
-func (s *Stats) connClose()   { s.ActiveConns.Add(-1); evConns.Add(-1) }
-func (s *Stats) reduceChunk() { s.ReduceChunks.Add(1); evReduceChunks.Add(1) }
-func (s *Stats) reduceDone()  { s.Reductions.Add(1); evReductions.Add(1) }
-func (s *Stats) reshard()     { s.Reshards.Add(1); evReshards.Add(1) }

@@ -17,15 +17,13 @@
 package proxy
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"multifloats/serve/client"
+	"multifloats/serve/internal/daemon"
 	"multifloats/serve/wire"
 )
 
@@ -75,9 +73,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Addr == "" {
-		c.Addr = "127.0.0.1:0"
-	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
 	}
@@ -105,34 +100,31 @@ func (c *Config) fillDefaults() {
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano()
 	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
 }
 
-// Proxy is one mfproxy instance.
+// Proxy is one mfproxy instance. Its Listen, Addr, Serve,
+// ListenAndServe, ServeListener and Shutdown methods come from the
+// daemon skeleton it shares with mfserved (serve/internal/daemon): the
+// listener, connection set, frame read loop and drain order. Shutdown
+// mirrors the server's: stop accepting, answer new requests
+// StatusOverloaded, let in-flight forwards and open reduction streams
+// finish up to ctx's deadline, then close everything including the
+// backend clients.
 type Proxy struct {
+	*core
 	cfg    Config
-	ln     net.Listener
 	router *router
 	cache  *resultCache
 
 	// sem bounds concurrently forwarded single-frame requests.
 	sem chan struct{}
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	mu       sync.Mutex
-	conns    map[*pxConn]struct{}
-	draining bool
-
-	connWG sync.WaitGroup
-	stats  Stats
+	stats Stats
 }
+
+// core is daemon.Daemon under an unexported name, so embedding it adds
+// methods but no exported field.
+type core = daemon.Daemon
 
 // New returns an unstarted proxy. Backend clients are created lazily-
 // dialing, so it never fails on unreachable backends — only on an
@@ -145,182 +137,40 @@ func New(cfg Config) (*Proxy, error) {
 	if len(cfg.Backends) > maxBackends {
 		return nil, fmt.Errorf("mfproxy: %d backends exceeds the maximum %d", len(cfg.Backends), maxBackends)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &Proxy{
-		cfg:        cfg,
-		sem:        make(chan struct{}, cfg.MaxInflight),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		conns:      make(map[*pxConn]struct{}),
-	}
+	p := &Proxy{cfg: cfg, sem: make(chan struct{}, cfg.MaxInflight)}
 	backends := make([]*backend, len(cfg.Backends))
 	for i, addr := range cfg.Backends {
 		opts := append([]client.Option{client.WithLazyDial()}, cfg.ClientOptions...)
 		cli, err := client.Dial(addr, opts...)
 		if err != nil {
-			cancel()
 			return nil, fmt.Errorf("mfproxy: backend %s: %w", addr, err)
 		}
 		backends[i] = &backend{addr: addr, cli: cli}
 	}
 	p.router = newRouter(backends, cfg.LoadFactor, cfg.FailThreshold, cfg.ProbeAfter, cfg.Seed, &p.stats)
 	p.cache = newResultCache(cfg.CacheBytes, &p.stats)
+	p.core = daemon.New(daemon.Config{
+		Addr:         cfg.Addr,
+		IdleTimeout:  cfg.IdleTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		Stats:        &p.stats.counters,
+		Open:         func(c *daemon.Conn) daemon.Handler { return &pxConn{Conn: c, p: p} },
+		Closed: func() {
+			for _, b := range p.router.backends {
+				b.cli.Close()
+			}
+		},
+	})
 	return p, nil
 }
 
-// Stats exposes the proxy's counters (also mirrored into expvar).
+// Stats exposes the proxy's counters.
 func (p *Proxy) Stats() *Stats { return &p.stats }
 
-// Listen binds the configured address. Call before Serve; Addr is
-// valid afterwards (useful with ":0").
-func (p *Proxy) Listen() error {
-	ln, err := net.Listen("tcp", p.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	p.ln = ln
-	return nil
-}
-
-// Addr returns the bound listen address (nil before Listen).
-func (p *Proxy) Addr() net.Addr {
-	if p.ln == nil {
-		return nil
-	}
-	return p.ln.Addr()
-}
-
-// Serve accepts downstream connections until Shutdown (or a fatal
-// listener error). It returns nil after a clean shutdown.
-func (p *Proxy) Serve() error {
-	if p.ln == nil {
-		if err := p.Listen(); err != nil {
-			return err
-		}
-	}
-	for {
-		nc, err := p.ln.Accept()
-		if err != nil {
-			if p.isDraining() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		if tc, ok := nc.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
-		c := &pxConn{
-			p:  p,
-			nc: nc,
-			br: bufio.NewReaderSize(nc, 1<<16),
-			bw: bufio.NewWriterSize(nc, 1<<16),
-		}
-		p.mu.Lock()
-		if p.draining {
-			p.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		p.conns[c] = struct{}{}
-		p.mu.Unlock()
-		p.stats.connOpen()
-		p.connWG.Add(1)
-		go func() {
-			defer p.connWG.Done()
-			c.serve()
-		}()
-	}
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (p *Proxy) ListenAndServe() error {
-	if err := p.Listen(); err != nil {
-		return err
-	}
-	return p.Serve()
-}
-
-// ServeListener serves on a caller-provided listener (fault-injection
-// wrappers, TLS). The proxy takes ownership: Shutdown closes it.
-func (p *Proxy) ServeListener(ln net.Listener) error {
-	// Fenced by mu because Shutdown reads p.ln from another goroutine;
-	// losing the race to a concurrent Shutdown means stop before start.
-	p.mu.Lock()
-	p.ln = ln
-	draining := p.draining
-	p.mu.Unlock()
-	if draining {
-		ln.Close()
-		return nil
-	}
-	return p.Serve()
-}
-
-func (p *Proxy) isDraining() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.draining
-}
-
-// Shutdown drains gracefully, mirroring server.Shutdown: stop
-// accepting, answer new requests StatusOverloaded, let in-flight
-// forwards and open reduction streams finish up to ctx's deadline,
-// then close everything including the backend clients.
-func (p *Proxy) Shutdown(ctx context.Context) error {
-	p.mu.Lock()
-	if p.draining {
-		p.mu.Unlock()
-		return nil
-	}
-	p.draining = true
-	ln := p.ln
-	p.mu.Unlock()
-
-	if ln != nil {
-		ln.Close()
-	}
-	// Unblock readers parked in Read; draining readers exit on the
-	// timeout error instead of treating it as a peer failure.
-	p.mu.Lock()
-	for c := range p.conns {
-		c.nc.SetReadDeadline(time.Now())
-	}
-	p.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		p.connWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	p.baseCancel()
-	p.mu.Lock()
-	for c := range p.conns {
-		c.nc.Close()
-	}
-	p.mu.Unlock()
-	for _, b := range p.router.backends {
-		b.cli.Close()
-	}
-	return err
-}
-
-// pxConn is one accepted downstream connection.
+// pxConn is one accepted downstream connection's handler.
 type pxConn struct {
-	p  *Proxy
-	nc net.Conn
-	br *bufio.Reader
-
-	rArmed time.Time
-
-	wmu    sync.Mutex
-	bw     *bufio.Writer
-	wArmed time.Time
+	*daemon.Conn
+	p *Proxy
 
 	// reds holds this connection's open sharded reduction streams,
 	// keyed by downstream request ID; reader-goroutine-only (reduction
@@ -329,77 +179,18 @@ type pxConn struct {
 	reds map[uint64]*pxReduce
 }
 
-// armReadDeadline pushes the read deadline to now+d if the armed one
-// has gone stale by more than d/4 (coarse arming, as in serve/server:
-// poller timer updates are too expensive per frame).
-func (c *pxConn) armReadDeadline(d time.Duration) {
-	if now := time.Now(); now.Sub(c.rArmed) > d/4 {
-		c.rArmed = now
-		c.nc.SetReadDeadline(now.Add(d))
-	}
-}
+// Close aborts the connection's open reduction streams.
+func (c *pxConn) Close() { c.abortAllReductions() }
 
-func (c *pxConn) armWriteDeadline(d time.Duration) {
-	if now := time.Now(); now.Sub(c.wArmed) > d/4 {
-		c.wArmed = now
-		c.nc.SetWriteDeadline(now.Add(d))
-	}
-}
-
-func (c *pxConn) serve() {
-	defer func() {
-		c.p.mu.Lock()
-		delete(c.p.conns, c)
-		c.p.mu.Unlock()
-		c.p.stats.connClose()
-		c.nc.Close()
-		c.abortAllReductions()
-	}()
-	for {
-		if d := c.p.cfg.IdleTimeout; d > 0 {
-			c.armReadDeadline(d)
-		}
-		req, err := wire.ReadRequest(c.br)
-		if err != nil {
-			switch {
-			case errors.Is(err, wire.ErrChecksum):
-				c.p.stats.checksumErr()
-			case errors.Is(err, wire.ErrMagic), errors.Is(err, wire.ErrVersion),
-				errors.Is(err, wire.ErrFrameType), errors.Is(err, wire.ErrTooLarge),
-				errors.Is(err, wire.ErrMalformed):
-				c.p.stats.protoErr()
-			default:
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() && !c.p.isDraining() {
-					c.p.stats.idleTimeout()
-				}
-			}
-			return
-		}
-		c.p.stats.reqIn()
-		if c.p.isDraining() {
-			c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 1000})
-			return
-		}
-		if err := c.handle(req); err != nil {
-			return
-		}
-	}
-}
-
-// handle dispatches one request. A non-nil return closes the
+// Handle dispatches one validated request. A non-nil return closes the
 // connection.
-func (c *pxConn) handle(req *wire.Request) error {
-	if err := req.Validate(); err != nil {
-		c.p.stats.protoErr()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
-	}
+func (c *pxConn) Handle(req *wire.Request) error {
 	// Loop guard: forwarding increments the hop count, so a request
 	// already at the ceiling cannot go upstream — it has visited
 	// MaxProxyHops proxy tiers and is looping.
 	if req.Hops+1 > wire.MaxProxyHops {
-		c.p.stats.loopReject()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
+		c.p.stats.LoopRejects.Add(1)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
 	}
 
 	// Streamed reductions (a continuation, or a fresh non-final chunk)
@@ -418,8 +209,8 @@ func (c *pxConn) handle(req *wire.Request) error {
 	select {
 	case c.p.sem <- struct{}{}:
 	default:
-		c.p.stats.overload()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 5})
+		c.p.stats.Overloads.Add(1)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 5})
 	}
 	go func() {
 		defer func() { <-c.p.sem }()
@@ -433,19 +224,15 @@ func (c *pxConn) handle(req *wire.Request) error {
 func (c *pxConn) forwardUnary(req *wire.Request) {
 	key := cacheKey(req)
 	if data, ok := c.p.cache.get(key); ok {
-		c.p.stats.cacheHit()
-		c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: data})
+		c.p.stats.CacheHits.Add(1)
+		c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: data})
 		return
 	}
 	if c.p.cache != nil {
-		c.p.stats.cacheMiss()
+		c.p.stats.CacheMisses.Add(1)
 	}
 
-	ctx := c.p.baseCtx
-	cancel := context.CancelFunc(func() {})
-	if !req.Deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(ctx, req.Deadline)
-	}
+	ctx, cancel := c.RequestContext(req)
 	defer cancel()
 
 	h := ringHash(&key)
@@ -462,7 +249,7 @@ func (c *pxConn) forwardUnary(req *wire.Request) {
 		c.p.router.release(b, err)
 		if err == nil {
 			c.p.cache.put(key, data)
-			c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: data})
+			c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: data})
 			return
 		}
 		lastErr = err
@@ -472,10 +259,10 @@ func (c *pxConn) forwardUnary(req *wire.Request) {
 		if i := c.p.router.index(b); i >= 0 {
 			tried |= 1 << uint(i)
 		}
-		c.p.stats.failover()
+		c.p.stats.Failovers.Add(1)
 	}
 	status, retryMs := c.statusFor(lastErr)
-	c.writeResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
+	c.WriteResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
 }
 
 // statusFor maps an upstream failure to the downstream status (and
@@ -483,40 +270,23 @@ func (c *pxConn) forwardUnary(req *wire.Request) {
 func (c *pxConn) statusFor(err error) (wire.Status, uint32) {
 	switch {
 	case err == nil:
-		c.p.stats.overload()
+		c.p.stats.Overloads.Add(1)
 		return wire.StatusOverloaded, 50
 	case errors.Is(err, client.ErrDeadlineExceeded):
-		c.p.stats.deadline()
+		c.p.stats.DeadlineMisses.Add(1)
 		return wire.StatusDeadlineExceeded, 0
 	case errors.Is(err, client.ErrBadRequest):
-		c.p.stats.protoErr()
+		c.p.stats.ProtocolErrors.Add(1)
 		return wire.StatusBadRequest, 0
 	case errors.Is(err, context.DeadlineExceeded):
-		c.p.stats.deadline()
+		c.p.stats.DeadlineMisses.Add(1)
 		return wire.StatusDeadlineExceeded, 0
 	case client.IsRetryable(err):
 		// Transient everywhere we tried: shed; the client's retry may
 		// land after a backend recovers.
-		c.p.stats.overload()
+		c.p.stats.Overloads.Add(1)
 		return wire.StatusOverloaded, 25
 	default:
 		return wire.StatusInternal, 0
 	}
-}
-
-// writeResponse appends resp to the downstream writer and flushes.
-// Write errors are swallowed (the reader goroutine observes the broken
-// connection and tears down); the error return only signals "stop
-// serving this conn".
-func (c *pxConn) writeResponse(resp *wire.Response) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if d := c.p.cfg.WriteTimeout; d > 0 {
-		c.armWriteDeadline(d)
-	}
-	if err := wire.WriteResponse(c.bw, resp); err != nil {
-		return fmt.Errorf("write response: %w", err)
-	}
-	c.p.stats.respOut()
-	return c.bw.Flush()
 }

@@ -87,20 +87,16 @@ func shardHash(id uint64, shard int) uint64 {
 func (c *pxConn) handleReduce(req *wire.Request) error {
 	fail := func(status wire.Status, retryMs uint32) error {
 		c.dropReduction(req.ID)
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
 	}
 	red := c.reds[req.ID]
 	switch {
 	case red == nil:
 		if len(c.reds) >= maxOpenReductions {
-			c.p.stats.protoErr()
+			c.p.stats.ProtocolErrors.Add(1)
 			return fail(wire.StatusBadRequest, 0)
 		}
-		ctx := c.p.baseCtx
-		cancel := context.CancelFunc(func() {})
-		if !req.Deadline.IsZero() {
-			ctx, cancel = context.WithDeadline(ctx, req.Deadline)
-		}
+		ctx, cancel := c.RequestContext(req)
 		nshards := c.p.cfg.ReduceShards
 		if nshards < 1 {
 			nshards = 1
@@ -120,11 +116,11 @@ func (c *pxConn) handleReduce(req *wire.Request) error {
 		}
 		c.reds[req.ID] = red
 	case red.op != req.Op || red.width != req.Width:
-		c.p.stats.protoErr()
+		c.p.stats.ProtocolErrors.Add(1)
 		return fail(wire.StatusBadRequest, 0)
 	}
 	if red.ctx.Err() != nil {
-		c.p.stats.deadline()
+		c.p.stats.DeadlineMisses.Add(1)
 		return fail(wire.StatusDeadlineExceeded, 0)
 	}
 
@@ -140,8 +136,8 @@ func (c *pxConn) handleReduce(req *wire.Request) error {
 		return fail(status, retryMs)
 	}
 	red.retain(s, req)
-	c.p.stats.reduceChunk()
-	return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
+	c.p.stats.ReduceChunks.Add(1)
+	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
 }
 
 // retain appends the chunk to the shard's replay log, dropping all
@@ -199,7 +195,7 @@ func (red *pxReduce) open(c *pxConn, id uint64, s *pxShard) error {
 			continue
 		}
 		if len(s.chunks) > 0 {
-			c.p.stats.reshard()
+			c.p.stats.Reshards.Add(1)
 		}
 		s.b, s.stream = b, stream
 		return nil
@@ -275,7 +271,7 @@ func (red *pxReduce) finishShard(c *pxConn, id uint64, s *pxShard, count int, x,
 func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard) error {
 	fail := func(status wire.Status, retryMs uint32) error {
 		c.dropReduction(req.ID)
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
 	}
 	merged := new(exact.Accumulator)
 	for _, sh := range red.shards {
@@ -301,8 +297,8 @@ func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard)
 		}
 		merged.Merge(dec)
 	}
-	c.p.stats.reduceChunk()
-	c.p.stats.reduceDone()
+	c.p.stats.ReduceChunks.Add(1)
+	c.p.stats.Reductions.Add(1)
 	var out []float64
 	if req.M&wire.FlagReduceRaw != 0 {
 		out = merged.EncodeFloats() // proxy-behind-proxy: pass raw upward
@@ -312,16 +308,16 @@ func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard)
 	deadlined := red.ctx.Err() != nil // read before dropReduction cancels the ctx
 	c.dropReduction(req.ID)
 	if deadlined {
-		c.p.stats.deadline()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
+		c.p.stats.DeadlineMisses.Add(1)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
 	}
-	return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
+	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
 }
 
 // reduceStatusFor maps a shard failure to the downstream status.
 func (c *pxConn) reduceStatusFor(err error) (wire.Status, uint32) {
 	if errors.Is(err, errReduceFailover) {
-		c.p.stats.overload()
+		c.p.stats.Overloads.Add(1)
 		return wire.StatusOverloaded, 25
 	}
 	return c.statusFor(err)

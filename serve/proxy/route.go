@@ -203,7 +203,7 @@ func (r *router) release(b *backend, err error) {
 			jitter := time.Duration(r.jrng.Int63n(int64(r.probeAfter)/2 + 1))
 			r.jmu.Unlock()
 			b.ejectedUntil.Store(time.Now().Add(r.probeAfter + jitter).UnixNano())
-			r.stats.ejection()
+			r.stats.Ejections.Add(1)
 		}
 		b.probing.Store(0)
 		return
@@ -212,7 +212,7 @@ func (r *router) release(b *backend, err error) {
 	// an ejected backend's probe, reinstate it.
 	b.consecFails.Store(0)
 	if b.ejectedUntil.Swap(0) != 0 {
-		r.stats.reinstate()
+		r.stats.Reinstates.Add(1)
 	}
 	b.probing.Store(0)
 }

@@ -52,17 +52,17 @@ func (l *lane) enqueue(p *pending) {
 	l.mu.Lock()
 	if len(l.reqs) >= cfg.QueueDepth {
 		l.mu.Unlock()
-		l.s.stats.overload()
+		l.s.stats.Overloads.Add(1)
 		retry := uint32(cfg.BatchWindow / time.Millisecond)
 		if retry == 0 {
 			retry = 1
 		}
-		p.c.writeResponse(&wire.Response{ID: p.id, Status: wire.StatusOverloaded, RetryAfterMs: retry}, true)
+		p.c.WriteResponse(&wire.Response{ID: p.id, Status: wire.StatusOverloaded, RetryAfterMs: retry})
 		p.cancel()
 		return
 	}
 	l.reqs = append(l.reqs, p)
-	l.s.stats.enqueue(1)
+	l.s.stats.QueueDepth.Add(1)
 	if len(l.reqs) >= cfg.MaxBatch || cfg.BatchWindow <= 0 {
 		batch := l.takeLocked()
 		l.mu.Unlock()
@@ -111,7 +111,7 @@ func (l *lane) takeLocked() []*pending {
 			l.timer.Stop()
 		}
 	}
-	l.s.stats.enqueue(int64(-n))
+	l.s.stats.QueueDepth.Add(int64(-n))
 	return batch
 }
 
@@ -227,7 +227,7 @@ func (l *lane) exec(batch []*pending) {
 			expired = true
 		}
 		if expired {
-			l.s.stats.deadline()
+			l.s.stats.DeadlineMisses.Add(1)
 			byConn[p.c] = append(byConn[p.c], wire.Response{ID: p.id, Status: wire.StatusDeadlineExceeded})
 			p.cancel()
 			continue
@@ -237,7 +237,9 @@ func (l *lane) exec(batch []*pending) {
 	}
 	var sb *soaBatch
 	if len(live) > 0 {
-		l.s.stats.batch(int64(len(live)), int64(elems))
+		l.s.stats.Batches.Add(1)
+		l.s.stats.BatchedReqs.Add(int64(len(live)))
+		l.s.stats.BatchedElems.Add(int64(elems))
 		w := l.width
 		sb = getSoABatch(w, elems)
 		unary := l.op.Unary()
@@ -262,10 +264,10 @@ func (l *lane) exec(batch []*pending) {
 	// One writer-lock hold, one counter update, and one flush per touched
 	// connection, however many batch members it contributed.
 	for c, resps := range byConn {
-		c.writeResponses(resps)
+		c.WriteResponses(resps)
 	}
 	if sb != nil {
-		// Safe to recycle: writeResponses serializes each response's Data
+		// Safe to recycle: WriteResponses serializes each response's Data
 		// into the connection's buffered writer before returning, so no
 		// reference to sb.out survives the loop above.
 		putSoABatch(sb)

@@ -1,125 +1,48 @@
 package server
 
 import (
-	"expvar"
 	"sync/atomic"
+
+	"multifloats/serve/internal/daemon"
 )
 
-// Stats are per-Server atomic counters. Every increment is mirrored into
-// the process-wide expvar map below (exported at /debug/vars when the
-// daemon's debug listener is enabled), so tests can assert on a specific
-// Server instance while operators scrape one stable namespace.
+// Stats are per-Server atomic counters: the ones every daemon keeps
+// (Requests, Responses, Overloads, DeadlineMisses, ProtocolErrors,
+// ChecksumErrors, IdleTimeouts, ActiveConns, ReduceChunks, Reductions —
+// see serve/internal/daemon) plus the batching lanes' own. cmd/mfserved
+// publishes the Snapshot at /debug/vars as the "mfserve" object.
 type Stats struct {
-	Requests       atomic.Int64 // frames accepted off the wire
-	Responses      atomic.Int64 // frames written back
-	Batches        atomic.Int64 // slab executions (scalar lanes)
-	BatchedReqs    atomic.Int64 // requests carried by those batches
-	BatchedElems   atomic.Int64 // expansion elements carried by those batches
-	Overloads      atomic.Int64 // requests rejected with StatusOverloaded
-	DeadlineMisses atomic.Int64 // requests answered StatusDeadlineExceeded
-	ProtocolErrors atomic.Int64 // malformed frames / bad requests
-	ChecksumErrors atomic.Int64 // frames rejected on CRC32C mismatch
-	IdleTimeouts   atomic.Int64 // connections closed for idling/stalling
-	QueueDepth     atomic.Int64 // scalar requests currently enqueued
-	ActiveConns    atomic.Int64
-	ReduceChunks   atomic.Int64 // reduction chunks folded
-	Reductions     atomic.Int64 // reduction streams completed (result returned)
+	counters
+	Batches      atomic.Int64 // slab executions (scalar lanes)
+	BatchedReqs  atomic.Int64 // requests carried by those batches
+	BatchedElems atomic.Int64 // expansion elements carried by those batches
+	QueueDepth   atomic.Int64 // scalar requests currently enqueued
 }
 
-// Snapshot is a plain-struct copy for JSON reporting.
+// Snapshot is a plain-struct copy for JSON reporting; the shared
+// counters' fields are promoted, so snap.Requests resolves.
 type Snapshot struct {
-	Requests       int64 `json:"requests"`
-	Responses      int64 `json:"responses"`
-	Batches        int64 `json:"batches"`
-	BatchedReqs    int64 `json:"batched_requests"`
-	BatchedElems   int64 `json:"batched_elements"`
-	Overloads      int64 `json:"overloads"`
-	DeadlineMisses int64 `json:"deadline_misses"`
-	ProtocolErrors int64 `json:"protocol_errors"`
-	ChecksumErrors int64 `json:"checksum_errors"`
-	IdleTimeouts   int64 `json:"idle_timeouts"`
-	QueueDepth     int64 `json:"queue_depth"`
-	ActiveConns    int64 `json:"active_conns"`
-	ReduceChunks   int64 `json:"reduce_chunks"`
-	Reductions     int64 `json:"reductions"`
+	counterSnapshot
+	Batches      int64 `json:"batches"`
+	BatchedReqs  int64 `json:"batched_requests"`
+	BatchedElems int64 `json:"batched_elements"`
+	QueueDepth   int64 `json:"queue_depth"`
 }
+
+// The shared counter types under unexported names, so embedding them
+// promotes their fields without adding an exported field.
+type (
+	counters        = daemon.Counters
+	counterSnapshot = daemon.CounterSnapshot
+)
 
 // Snapshot returns a consistent-enough point-in-time copy.
 func (s *Stats) Snapshot() Snapshot {
 	return Snapshot{
-		Requests:       s.Requests.Load(),
-		Responses:      s.Responses.Load(),
-		Batches:        s.Batches.Load(),
-		BatchedReqs:    s.BatchedReqs.Load(),
-		BatchedElems:   s.BatchedElems.Load(),
-		Overloads:      s.Overloads.Load(),
-		DeadlineMisses: s.DeadlineMisses.Load(),
-		ProtocolErrors: s.ProtocolErrors.Load(),
-		ChecksumErrors: s.ChecksumErrors.Load(),
-		IdleTimeouts:   s.IdleTimeouts.Load(),
-		QueueDepth:     s.QueueDepth.Load(),
-		ActiveConns:    s.ActiveConns.Load(),
-		ReduceChunks:   s.ReduceChunks.Load(),
-		Reductions:     s.Reductions.Load(),
+		counterSnapshot: s.counters.Snapshot(),
+		Batches:         s.Batches.Load(),
+		BatchedReqs:     s.BatchedReqs.Load(),
+		BatchedElems:    s.BatchedElems.Load(),
+		QueueDepth:      s.QueueDepth.Load(),
 	}
-}
-
-// Process-wide expvar counters, aggregated across all Server instances in
-// the process (names are registered once; expvar panics on duplicates).
-// mean batch occupancy = mfserve.batched_requests / mfserve.batches.
-var (
-	evRequests       = expvar.NewInt("mfserve.requests")
-	evResponses      = expvar.NewInt("mfserve.responses")
-	evBatches        = expvar.NewInt("mfserve.batches")
-	evBatchedReqs    = expvar.NewInt("mfserve.batched_requests")
-	evBatchedElems   = expvar.NewInt("mfserve.batched_elements")
-	evOverloads      = expvar.NewInt("mfserve.overloads")
-	evDeadlineMisses = expvar.NewInt("mfserve.deadline_misses")
-	evProtocolErrors = expvar.NewInt("mfserve.protocol_errors")
-	evChecksumErrors = expvar.NewInt("mfserve.checksum_errors")
-	evIdleTimeouts   = expvar.NewInt("mfserve.idle_timeouts")
-	evQueueDepth     = expvar.NewInt("mfserve.queue_depth")
-	evConns          = expvar.NewInt("mfserve.conns")
-	evReduceChunks   = expvar.NewInt("mfserve.reduce_chunks")
-	evReductions     = expvar.NewInt("mfserve.reductions")
-)
-
-func (s *Stats) reqIn()   { s.Requests.Add(1); evRequests.Add(1) }
-func (s *Stats) respOut() { s.Responses.Add(1); evResponses.Add(1) }
-func (s *Stats) respOutN(n int64) {
-	s.Responses.Add(n)
-	evResponses.Add(n)
-}
-func (s *Stats) overload() { s.Overloads.Add(1); evOverloads.Add(1) }
-func (s *Stats) deadline() { s.DeadlineMisses.Add(1); evDeadlineMisses.Add(1) }
-func (s *Stats) protoErr() { s.ProtocolErrors.Add(1); evProtocolErrors.Add(1) }
-func (s *Stats) checksumErr() {
-	s.ChecksumErrors.Add(1)
-	evChecksumErrors.Add(1)
-}
-func (s *Stats) idleTimeout() {
-	s.IdleTimeouts.Add(1)
-	evIdleTimeouts.Add(1)
-}
-func (s *Stats) enqueue(n int64) {
-	s.QueueDepth.Add(n)
-	evQueueDepth.Add(n)
-}
-func (s *Stats) batch(reqs, elems int64) {
-	s.Batches.Add(1)
-	s.BatchedReqs.Add(reqs)
-	s.BatchedElems.Add(elems)
-	evBatches.Add(1)
-	evBatchedReqs.Add(reqs)
-	evBatchedElems.Add(elems)
-}
-func (s *Stats) connOpen()  { s.ActiveConns.Add(1); evConns.Add(1) }
-func (s *Stats) connClose() { s.ActiveConns.Add(-1); evConns.Add(-1) }
-func (s *Stats) reduceChunk() {
-	s.ReduceChunks.Add(1)
-	evReduceChunks.Add(1)
-}
-func (s *Stats) reduceDone() {
-	s.Reductions.Add(1)
-	evReductions.Add(1)
 }

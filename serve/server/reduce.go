@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"multifloats/internal/blas"
 	"multifloats/internal/exact"
 	"multifloats/serve/wire"
 )
@@ -36,8 +37,8 @@ var (
 )
 
 // parallelFoldElems is the chunk size (in expansion elements) above
-// which a fold shards across the configured workers. Below it the
-// goroutine handoff costs more than the integer deposits save.
+// which a fold shards across the configured workers. Below it the pool
+// handoff costs more than the integer deposits save.
 const parallelFoldElems = 4096
 
 type reduction struct {
@@ -54,17 +55,17 @@ var accPool = sync.Pool{New: func() any { return new(exact.Accumulator) }}
 func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
 	fail := func(status wire.Status) error {
 		c.dropReduction(req.ID)
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: status}, true)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status})
 	}
 	if ctx.Err() != nil {
-		c.s.stats.deadline()
+		c.s.stats.DeadlineMisses.Add(1)
 		return fail(wire.StatusDeadlineExceeded)
 	}
 	red := c.reds[req.ID]
 	switch {
 	case red == nil:
 		if len(c.reds) >= maxOpenReductions {
-			c.s.stats.protoErr()
+			c.s.stats.ProtocolErrors.Add(1)
 			return fail(wire.StatusBadRequest)
 		}
 		red = &reduction{op: req.Op, width: req.Width, acc: accPool.Get().(*exact.Accumulator)}
@@ -75,14 +76,14 @@ func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
 	case red.op != req.Op || red.width != req.Width:
 		// Chunks of one stream must agree on shape; a disagreement is a
 		// client bug (or hostility) and poisons the whole stream.
-		c.s.stats.protoErr()
+		c.s.stats.ProtocolErrors.Add(1)
 		return fail(wire.StatusBadRequest)
 	}
 
 	foldChunk(red, req, c.s.cfg.Workers)
-	c.s.stats.reduceChunk()
+	c.s.stats.ReduceChunks.Add(1)
 	if req.M&wire.FlagReduceFinal == 0 {
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK}, true)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
 	}
 
 	delete(c.reds, req.ID)
@@ -98,52 +99,34 @@ func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
 	}
 	releaseAcc(red.acc)
 	if ctx.Err() != nil {
-		c.s.stats.deadline()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded}, true)
+		c.s.stats.DeadlineMisses.Add(1)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
 	}
-	c.s.stats.reduceDone()
-	return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out}, true)
+	c.s.stats.Reductions.Add(1)
+	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
 }
 
 // foldChunk folds one request's operand slab into the reduction's
-// accumulator. Large chunks shard across workers into per-shard
-// accumulators merged back in; Merge is exact, so the fold-down is
-// bit-identical for every worker count — reductions need no
+// accumulator. Large chunks shard across the blas worker pool, each
+// shard into its own pooled accumulator that is then merged in under a
+// lock; Merge is exact and order-free, so the fold-down is bit-identical
+// for every worker count and merge order — reductions need no
 // single-worker mode to be reproducible.
 func foldChunk(red *reduction, req *wire.Request, workers int) {
-	elems := req.Count
-	shards := workers
-	if shards > elems/(parallelFoldElems/2) {
-		shards = elems / (parallelFoldElems / 2)
-	}
-	if shards <= 1 || elems < parallelFoldElems {
-		foldRange(red.acc, red.op, red.width, req.X, req.Y, 0, elems)
+	shards := min(workers, req.Count/(parallelFoldElems/2))
+	if shards <= 1 {
+		foldRange(red.acc, red.op, red.width, req.X, req.Y, 0, req.Count)
 		return
 	}
-	parts := make([]*exact.Accumulator, shards)
-	chunk := (elems + shards - 1) / shards
-	var wg sync.WaitGroup
-	for s := range parts {
-		lo := s * chunk
-		hi := min(lo+chunk, elems)
-		if lo >= hi {
-			break
-		}
+	var mu sync.Mutex
+	blas.Parallel(req.Count, shards, func(lo, hi int) {
 		acc := accPool.Get().(*exact.Accumulator)
-		parts[s] = acc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			foldRange(acc, red.op, red.width, req.X, req.Y, lo, hi)
-		}()
-	}
-	wg.Wait()
-	for _, p := range parts {
-		if p != nil {
-			red.acc.Merge(p)
-			releaseAcc(p)
-		}
-	}
+		foldRange(acc, red.op, red.width, req.X, req.Y, lo, hi)
+		mu.Lock()
+		red.acc.Merge(acc)
+		mu.Unlock()
+		releaseAcc(acc)
+	})
 }
 
 // foldRange folds elements [lo, hi) of the slabs into acc.

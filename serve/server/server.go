@@ -19,16 +19,11 @@
 package server
 
 import (
-	"bufio"
-	"context"
-	"errors"
-	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"multifloats/internal/blas"
 	"multifloats/mf"
+	"multifloats/serve/internal/daemon"
 	"multifloats/serve/wire"
 )
 
@@ -72,9 +67,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Addr == "" {
-		c.Addr = "127.0.0.1:0"
-	}
 	if c.BatchWindow == 0 {
 		c.BatchWindow = 200 * time.Microsecond
 	}
@@ -90,42 +82,32 @@ func (c *Config) fillDefaults() {
 	if c.MaxDim <= 0 {
 		c.MaxDim = 1 << 20
 	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
 }
 
-// Server is one mfserve instance.
+// Server is one mfserve instance. Its Listen, Addr, Serve,
+// ListenAndServe, ServeListener and Shutdown methods come from the
+// daemon skeleton it shares with mfproxy (serve/internal/daemon): the
+// listener, connection set, frame read loop and drain order. Shutdown
+// stops accepting, fences new requests (answered StatusOverloaded),
+// flushes every lane so already-admitted requests complete, then
+// unblocks connection readers and waits for them up to ctx's deadline.
+// It does not close the blas worker pool — that is the process owner's
+// call (cmd/mfserved closes it on exit).
 type Server struct {
+	*core
 	cfg   Config
-	ln    net.Listener
 	lanes map[laneKey]*lane
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	mu       sync.Mutex
-	conns    map[*srvConn]struct{}
-	draining bool
-
-	connWG sync.WaitGroup
-	stats  Stats
+	stats Stats
 }
+
+// core is daemon.Daemon under an unexported name, so embedding it adds
+// methods but no exported field.
+type core = daemon.Daemon
 
 // New returns an unstarted server.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		cfg:        cfg,
-		lanes:      make(map[laneKey]*lane),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		conns:      make(map[*srvConn]struct{}),
-	}
+	s := &Server{cfg: cfg, lanes: make(map[laneKey]*lane)}
 	// Every Scalar op — arithmetic and transcendental — gets a batching
 	// lane per width. The op code space has gaps, so walk it and filter.
 	for op := wire.OpAdd; op <= wire.OpHypot; op++ {
@@ -136,174 +118,28 @@ func New(cfg Config) *Server {
 			s.lanes[laneKey{op, w}] = &lane{s: s, op: op, width: w}
 		}
 	}
+	s.core = daemon.New(daemon.Config{
+		Addr:         cfg.Addr,
+		IdleTimeout:  cfg.IdleTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		Stats:        &s.stats.counters,
+		Open:         func(c *daemon.Conn) daemon.Handler { return &srvConn{Conn: c, s: s} },
+		Drain: func() {
+			for _, l := range s.lanes {
+				l.drain()
+			}
+		},
+	})
 	return s
 }
 
-// Stats exposes the server's counters (also mirrored into expvar).
+// Stats exposes the server's counters.
 func (s *Server) Stats() *Stats { return &s.stats }
 
-// Listen binds the configured address. Call before Serve; Addr is valid
-// afterwards (useful with ":0").
-func (s *Server) Listen() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	s.ln = ln
-	return nil
-}
-
-// Addr returns the bound listen address (nil before Listen).
-func (s *Server) Addr() net.Addr {
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Serve accepts connections until Shutdown (or a fatal listener error).
-// It returns nil after a clean shutdown.
-func (s *Server) Serve() error {
-	if s.ln == nil {
-		if err := s.Listen(); err != nil {
-			return err
-		}
-	}
-	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			if s.isDraining() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		if tc, ok := nc.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
-		c := &srvConn{
-			s:  s,
-			nc: nc,
-			br: bufio.NewReaderSize(nc, 1<<16),
-			bw: bufio.NewWriterSize(nc, 1<<16),
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.stats.connOpen()
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			c.serve()
-		}()
-	}
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
-// ServeListener serves on a caller-provided listener instead of binding
-// the configured address — the hook for wrapping the accept path (e.g.
-// internal/netfault's fault-injecting listener, or a TLS listener). The
-// server takes ownership: Shutdown closes it.
-func (s *Server) ServeListener(ln net.Listener) error {
-	// The assignment is fenced by mu because Shutdown (another
-	// goroutine) reads s.ln; losing the race to a concurrent Shutdown
-	// means the server was stopped before it started — close and exit
-	// rather than accepting on a listener nobody will ever close.
-	s.mu.Lock()
-	s.ln = ln
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		ln.Close()
-		return nil
-	}
-	return s.Serve()
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Shutdown drains gracefully: stop accepting, fence new requests (they
-// are answered StatusOverloaded), flush every lane so already-admitted
-// requests complete, then unblock connection readers and wait for them
-// up to ctx's deadline. It does not close the blas worker pool — that is
-// the process owner's call (cmd/mfserved closes it on exit).
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil
-	}
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-
-	if ln != nil {
-		ln.Close()
-	}
-	for _, l := range s.lanes {
-		l.drain()
-	}
-	// Unblock readers parked in Read; draining readers exit on the
-	// timeout error instead of treating it as a peer failure.
-	s.mu.Lock()
-	for c := range s.conns {
-		c.nc.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	s.baseCancel()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.nc.Close()
-	}
-	s.mu.Unlock()
-	return err
-}
-
-// srvConn is one accepted connection.
+// srvConn is one accepted connection's handler.
 type srvConn struct {
-	s  *Server
-	nc net.Conn
-	br *bufio.Reader
-
-	// rArmed/wArmed are when the read/write deadlines were last pushed
-	// out. Deadline arming is coarse: SetReadDeadline/SetWriteDeadline go
-	// through the runtime poller's timer bookkeeping, which is far too
-	// expensive to pay per frame at millions of frames per second, so the
-	// deadline is re-armed only once it is stale by a quarter of the
-	// budget. A peer that goes silent is therefore cut off after between
-	// 0.75× and 1× the configured timeout — the guarantee never loosens.
-	rArmed time.Time
-
-	wmu    sync.Mutex
-	bw     *bufio.Writer
-	wArmed time.Time
+	*daemon.Conn
+	s *Server
 
 	// reds holds this connection's open streaming reductions, keyed by
 	// request ID. Only the reader goroutine touches it (reductions
@@ -312,88 +148,18 @@ type srvConn struct {
 	reds map[uint64]*reduction
 }
 
-// armReadDeadline pushes the read deadline to now+d if the armed one has
-// gone stale by more than d/4.
-func (c *srvConn) armReadDeadline(d time.Duration) {
-	if now := time.Now(); now.Sub(c.rArmed) > d/4 {
-		c.rArmed = now
-		c.nc.SetReadDeadline(now.Add(d))
-	}
-}
+// Close releases the connection's open reductions.
+func (c *srvConn) Close() { c.dropAllReductions() }
 
-// armWriteDeadline is armReadDeadline for the write side; callers hold wmu.
-func (c *srvConn) armWriteDeadline(d time.Duration) {
-	if now := time.Now(); now.Sub(c.wArmed) > d/4 {
-		c.wArmed = now
-		c.nc.SetWriteDeadline(now.Add(d))
-	}
-}
-
-func (c *srvConn) serve() {
-	defer func() {
-		c.s.mu.Lock()
-		delete(c.s.conns, c)
-		c.s.mu.Unlock()
-		c.s.stats.connClose()
-		c.nc.Close()
-		c.dropAllReductions()
-	}()
-	for {
-		// Arm the idle/stall timeout for the next frame: the deadline
-		// covers the whole frame read, so a peer that trickles a frame one
-		// byte at a time is bounded exactly like a silent one.
-		if d := c.s.cfg.IdleTimeout; d > 0 {
-			c.armReadDeadline(d)
-		}
-		req, err := wire.ReadRequest(c.br)
-		if err != nil {
-			// EOF and peer resets are normal disconnects; framing errors
-			// poison the stream; a checksum mismatch means the bytes cannot
-			// be trusted at all. Every case ends the connection — but the
-			// recognizable failure classes are counted first.
-			switch {
-			case errors.Is(err, wire.ErrChecksum):
-				c.s.stats.checksumErr()
-			case errors.Is(err, wire.ErrMagic), errors.Is(err, wire.ErrVersion),
-				errors.Is(err, wire.ErrFrameType), errors.Is(err, wire.ErrTooLarge),
-				errors.Is(err, wire.ErrMalformed):
-				c.s.stats.protoErr()
-			default:
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() && !c.s.isDraining() {
-					c.s.stats.idleTimeout()
-				}
-			}
-			return
-		}
-		c.s.stats.reqIn()
-		if c.s.isDraining() {
-			c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 1000}, true)
-			return
-		}
-		if err := c.handle(req); err != nil {
-			return
-		}
-	}
-}
-
-// handle dispatches one validated-or-rejected request. A non-nil return
-// closes the connection.
-func (c *srvConn) handle(req *wire.Request) error {
-	if err := req.Validate(); err != nil {
-		c.s.stats.protoErr()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest}, true)
-	}
+// Handle dispatches one validated request. A non-nil return closes the
+// connection.
+func (c *srvConn) Handle(req *wire.Request) error {
 	if max(len(req.X), len(req.Y)) > c.s.cfg.MaxDim*req.Width {
-		c.s.stats.protoErr()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest}, true)
+		c.s.stats.ProtocolErrors.Add(1)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
 	}
 
-	ctx := c.s.baseCtx
-	cancel := context.CancelFunc(func() {})
-	if !req.Deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(ctx, req.Deadline)
-	}
+	ctx, cancel := c.RequestContext(req)
 
 	if req.Op.Scalar() {
 		p := &pending{
@@ -414,56 +180,15 @@ func (c *srvConn) handle(req *wire.Request) error {
 	// BLAS ops are already slab-shaped; execute on this goroutine.
 	defer cancel()
 	if ctx.Err() != nil {
-		c.s.stats.deadline()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded}, true)
+		c.s.stats.DeadlineMisses.Add(1)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
 	}
 	out := execBlas(req, c.s.cfg.Workers)
 	if ctx.Err() != nil {
 		// Result computed but the deadline passed while computing: the
 		// client has given up; honor the contract and fail the request.
-		c.s.stats.deadline()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded}, true)
+		c.s.stats.DeadlineMisses.Add(1)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
 	}
-	return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out}, true)
-}
-
-// writeResponse appends resp to the connection's buffered writer and
-// optionally flushes. Write errors are swallowed (the reader goroutine
-// will observe the broken connection and tear down); the error return
-// only signals "stop serving this conn".
-func (c *srvConn) writeResponse(resp *wire.Response, flush bool) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if d := c.s.cfg.WriteTimeout; d > 0 {
-		c.armWriteDeadline(d)
-	}
-	if err := wire.WriteResponse(c.bw, resp); err != nil {
-		return fmt.Errorf("write response: %w", err)
-	}
-	c.s.stats.respOut()
-	if flush {
-		return c.bw.Flush()
-	}
-	return nil
-}
-
-// writeResponses appends a batch's responses for this connection and
-// flushes once: one lock hold, one stats update, one syscall for the
-// whole group. Write errors are swallowed (the reader goroutine observes
-// the broken connection and tears down).
-func (c *srvConn) writeResponses(resps []wire.Response) {
-	c.wmu.Lock()
-	if d := c.s.cfg.WriteTimeout; d > 0 {
-		c.armWriteDeadline(d)
-	}
-	n := 0
-	for i := range resps {
-		if wire.WriteResponse(c.bw, &resps[i]) != nil {
-			break
-		}
-		n++
-	}
-	c.bw.Flush()
-	c.wmu.Unlock()
-	c.s.stats.respOutN(int64(n))
+	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
 }

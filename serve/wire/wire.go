@@ -270,6 +270,20 @@ var (
 	ErrChecksum = errors.New("wire: frame checksum mismatch")
 )
 
+// Untrusted reports whether err is a read failure of the frame bytes
+// themselves — a checksum mismatch or any framing error above — rather
+// than of the transport under them (EOF, reset, timeout). Either way the
+// connection is done; Untrusted says whether the peer or the path sent
+// bytes that cannot be trusted.
+func Untrusted(err error) bool {
+	for _, e := range [...]error{ErrChecksum, ErrMagic, ErrVersion, ErrFrameType, ErrTooLarge, ErrMalformed} {
+		if errors.Is(err, e) {
+			return true
+		}
+	}
+	return false
+}
+
 // Request is one decoded request frame. Slabs are flat component arrays:
 // expansion i of a width-w slab occupies s[i*w : (i+1)*w], leading
 // component first (mf's canonical component order).
