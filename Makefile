@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check test race vet build lint mflint gensync prove prove-smoke fuzz-smoke conformance bench-smoke bench-ablation fig9 serve-smoke perf-smoke bench-serve bench-proxy proxy-smoke chaos chaos-smoke ledger-check
+.PHONY: check test race vet build lint mflint gensync prove prove-smoke fuzz-smoke conformance bench-smoke bench-ablation fig9 serve-smoke perf-smoke bench-serve bench-proxy proxy-smoke chaos chaos-smoke ledger-check ledger-pairs
 
 # check is the full pre-merge gate: build, static analysis (vet + the
 # domain-aware mflint contract checks), generated-code drift, the proof
@@ -104,6 +104,56 @@ race:
 # would pass and only surface when the benchmark is built.
 ledger-check:
 	cd mfledger && $(GO) vet ./... && $(GO) test ./...
+
+# ledger-pairs compares the working tree with the tree at BASE on one
+# mfledger workload: PAIRS pairs of `mfledger/run.sh --trace 0` runs at
+# mfledger's default 20 s, one per side, with the side that runs first
+# alternating from pair to pair. It then prints, for each end-to-end
+# metric, each side's median and quartiles and how many pairs the
+# working tree won (the better direction comes from BENCHMARK.json),
+# plus failed operations per side.
+# BASE is exported with git archive into .bench_build/base; the reports
+# are kept in .bench_build/pairs/<workload>/{base,work}.<pair>.json.
+#   make ledger-pairs BASE=HEAD~1 WORKLOAD=proxy-relay PAIRS=10 SEED=7
+BASE ?= HEAD
+WORKLOAD ?= proxy-relay
+PAIRS ?= 10
+SEED ?= 1
+ledger-pairs:
+	@set -e; \
+	base=.bench_build/base; out=.bench_build/pairs/$(WORKLOAD); \
+	rm -rf "$$base" "$$out"; mkdir -p "$$base" "$$out"; \
+	git archive "$(BASE)" | tar -x -C "$$base"; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then dir=$$base; else dir=.; fi; \
+			echo "ledger-pairs: pair $$i/$(PAIRS): $$side"; \
+			(cd "$$dir" && bash mfledger/run.sh --workload $(WORKLOAD) --seed $(SEED) --trace 0) \
+				| tail -n 1 > "$$out/$$side.$$i.json"; \
+			grep -q '"metrics"' "$$out/$$side.$$i.json" || { echo "ledger-pairs: $$side run $$i wrote no report"; exit 1; }; \
+		done; \
+	done; \
+	for f in "$$out"/*.json; do \
+		tag=$$(basename "$$f" .json | tr . ' '); \
+		grep -o '"failed":[0-9]*' "$$f" | sed "s/\"failed\":/$$tag failed /"; \
+		grep -o '"[a-z0-9_.]*":{"value":[^,}]*' "$$f" | sed "s/^\"\([^\"]*\)\":{\"value\":/$$tag \1 /"; \
+	done | awk -v pairs=$(PAIRS) -v base="$(BASE)" ' \
+		function q(a, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) } \
+		function stats(side, m,   a, n, i, j, t) { \
+			n = 0; for (i = 1; i <= pairs; i++) if ((side, i, m) in v) a[++n] = v[side, i, m]; \
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t } \
+			med[side] = q(a, n, 0.5); return sprintf("%12.6g [%.6g, %.6g]", med[side], q(a, n, 0.25), q(a, n, 0.75)) } \
+		FNR == NR { if ($$1 == "\"name\":") { gsub(/[",]/, "", $$2); name = $$2 } \
+			if ($$1 == "\"better\":") { gsub(/[",]/, "", $$2); better[name] = $$2; order[++k] = name }; next } \
+		$$3 == "failed" { failed[$$1] += $$4; next } \
+		{ v[$$1, $$2, $$3] = $$4 } \
+		END { printf "%-16s %-40s %-40s %8s  %s\n", "metric", "base " base ": median [q1, q3]", "work: median [q1, q3]", "change", "work wins"; \
+			for (i = 1; i <= k; i++) { m = order[i]; if (!(("base", 1, m) in v)) continue; \
+				b = stats("base", m); w = stats("work", m); wins = 0; \
+				for (p = 1; p <= pairs; p++) if ((better[m] == "higher") == (v["work", p, m] > v["base", p, m]) && v["work", p, m] != v["base", p, m]) wins++; \
+				printf "%-16s %-40s %-40s %+7.1f%%  %d/%d\n", m, b, w, 100 * (med["work"] / med["base"] - 1), wins, pairs } \
+			printf "failed operations: base %d, work %d\n", failed["base"], failed["work"] }' BENCHMARK.json -
 
 # fuzz-smoke gives each native fuzz target a short budget (the go fuzzer
 # accepts one target per invocation). CI runs this on every push; longer

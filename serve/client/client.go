@@ -1,7 +1,7 @@
-// Package client is the connection-pooled client for the mfserve compute
-// service. It mirrors the mf package's API surface over the network:
-// typed scalar and BLAS calls on Float64x2/x3/x4 values, with request
-// deadlines taken from the context, transparent retries with jittered
+// Package client is the client for the mfserve compute service. It
+// mirrors the mf package's API surface over the network: typed scalar
+// and BLAS calls on Float64x2/x3/x4 values, with request deadlines
+// taken from the context, transparent retries with jittered
 // exponential backoff on transient failures (dial/IO errors, server
 // overload — honoring the server's retry-after hint, and response
 // integrity failures — see ErrIntegrity), and bit-exact results (the
@@ -52,7 +52,9 @@ var (
 // Option configures a Client.
 type Option func(*Client)
 
-// WithPoolSize caps idle pooled connections (default 8).
+// WithPoolSize caps idle pooled connections (default 8). Pooled
+// connections carry BLAS calls, reductions and ReduceStreams; scalar
+// calls share the client's one multiplexed connection instead.
 func WithPoolSize(n int) Option { return func(c *Client) { c.poolSize = n } }
 
 // WithMaxRetries sets the transient-failure retry budget per call
@@ -93,8 +95,10 @@ func WithDialer(dial func(addr string, timeout time.Duration) (net.Conn, error))
 	return func(c *Client) { c.dialFn = dial }
 }
 
-// Client is a connection-pooled mfserve client. Safe for concurrent use;
-// each in-flight call holds one pooled connection.
+// Client is an mfserve client. Safe for concurrent use. Scalar calls
+// (wire.Op.Scalar) are pipelined over one lazily dialed connection that
+// they all share (mux.go). Every other call holds one pooled connection
+// for its exchange.
 type Client struct {
 	addr        string
 	poolSize    int
@@ -110,6 +114,12 @@ type Client struct {
 	conns  chan *poolConn
 	nextID atomic.Uint64
 	closed atomic.Bool
+
+	// muxMu guards the multiplexed connection's lifecycle: the live
+	// connection and the dial in flight.
+	muxMu   sync.Mutex
+	mux     *muxConn
+	muxDial *muxDial
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -155,7 +165,8 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Close releases the pooled connections. In-flight calls fail. The pool
+// Close releases the client's connections. In-flight calls fail; those
+// waiting on the multiplexed connection return ErrClosed. The pool
 // channel is never closed (a concurrent put could panic on it); Close
 // drains it non-blockingly and put discards stragglers.
 func (c *Client) Close() error {
@@ -163,6 +174,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.drainPool()
+	c.closeMux()
 	return nil
 }
 
@@ -256,13 +268,14 @@ func (c *Client) do(ctx context.Context, req *wire.Request) ([]float64, error) {
 }
 
 // Do sends one already-shaped request and returns the OK result slab,
-// with the same pooled-connection, retry, and typed-error behavior as
-// the typed calls. This is the forwarding primitive for proxies and
-// other wire-aware callers: req's Op/Width/Count/M/Hops and operand
-// slabs are sent as given, while ID is assigned fresh per attempt and
-// Deadline is taken from ctx (any caller-set values are overwritten).
-// Failed attempts may leave req mutated; callers must not reuse the
-// struct concurrently.
+// with the same connection, retry, and typed-error behavior as the
+// typed calls: a scalar request shares the multiplexed connection, any
+// other holds a pooled one. This is the forwarding primitive for
+// proxies and other wire-aware callers: req's Op/Width/Count/M/Hops and
+// operand slabs are sent as given, while ID is assigned fresh per
+// attempt and Deadline is taken from ctx (any caller-set values are
+// overwritten). Failed attempts may leave req mutated; callers must not
+// reuse the struct concurrently.
 func (c *Client) Do(ctx context.Context, req *wire.Request) ([]float64, error) {
 	return c.do(ctx, req)
 }
@@ -333,6 +346,15 @@ func integrityErr(err error) error {
 	return &transientError{err: fmt.Errorf("%w: %w", ErrIntegrity, err)}
 }
 
+// readErr types a failed response read: ErrIntegrity when the bytes
+// themselves cannot be trusted, a plain retryable error otherwise.
+func readErr(err error) error {
+	if wire.Untrusted(err) {
+		return integrityErr(err)
+	}
+	return &transientError{err: err}
+}
+
 // statusErr maps a response status to its typed error (nil for
 // StatusOK).
 func statusErr(resp *wire.Response) error {
@@ -369,15 +391,20 @@ func ctxDeadline(ctx context.Context) time.Time {
 	return time.Time{}
 }
 
-// armDeadline bounds the connection's next exchange: ioTimeout from now,
-// or just past the request deadline when that comes first, so the
+// exchangeDeadline bounds one request/response exchange: ioTimeout from
+// now, or just past the request deadline when that comes first, so the
 // server's own deadline answer can still arrive.
-func (pc *poolConn) armDeadline(ioTimeout time.Duration, deadline time.Time) {
+func exchangeDeadline(ioTimeout time.Duration, deadline time.Time) time.Time {
 	io := time.Now().Add(ioTimeout)
 	if !deadline.IsZero() && deadline.Before(io) {
 		io = deadline.Add(100 * time.Millisecond)
 	}
-	pc.nc.SetDeadline(io)
+	return io
+}
+
+// armDeadline bounds the connection's next exchange by exchangeDeadline.
+func (pc *poolConn) armDeadline(ioTimeout time.Duration, deadline time.Time) {
+	pc.nc.SetDeadline(exchangeDeadline(ioTimeout, deadline))
 }
 
 // recv reads the next response and checks that it answers request id.
@@ -390,26 +417,42 @@ func (pc *poolConn) recv(id uint64) (*wire.Response, error) {
 		return resp, nil
 	}
 	pc.nc.Close()
-	switch {
-	case err == nil:
+	if err == nil {
 		// Stream desync (e.g. a stale response after a previous timeout
 		// on this conn).
 		return nil, integrityErr(fmt.Errorf("response id %d for request %d", resp.ID, id))
-	case wire.Untrusted(err):
-		return nil, integrityErr(err)
-	default:
-		return nil, &transientError{err: err}
 	}
+	return nil, readErr(err)
 }
 
-// try performs a single attempt on one pooled connection.
+// try performs a single attempt: a scalar request on the multiplexed
+// connection, any other on one pooled connection.
 func (c *Client) try(ctx context.Context, req *wire.Request) ([]float64, error) {
+	req.ID = c.nextID.Add(1)
+	req.Deadline = ctxDeadline(ctx)
+	var resp *wire.Response
+	var err error
+	if req.Op.Scalar() {
+		resp, err = c.exchangeMux(req)
+	} else {
+		resp, err = c.exchangePooled(req)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := statusErr(resp); err != nil {
+		return nil, err
+	}
+	return checkSlab(resp.Data, wire.RespElems(req.Op, req.Width, req.Count, req.M))
+}
+
+// exchangePooled sends req on a pooled connection and reads its
+// response, returning the connection to the pool afterwards.
+func (c *Client) exchangePooled(req *wire.Request) (*wire.Response, error) {
 	pc, err := c.get()
 	if err != nil {
 		return nil, err
 	}
-	req.ID = c.nextID.Add(1)
-	req.Deadline = ctxDeadline(ctx)
 	pc.armDeadline(c.ioTimeout, req.Deadline)
 	if err = wire.WriteRequest(pc.bw, req); err == nil {
 		err = pc.bw.Flush()
@@ -423,8 +466,5 @@ func (c *Client) try(ctx context.Context, req *wire.Request) ([]float64, error) 
 		return nil, err
 	}
 	c.put(pc)
-	if err := statusErr(resp); err != nil {
-		return nil, err
-	}
-	return checkSlab(resp.Data, wire.RespElems(req.Op, req.Width, req.Count, req.M))
+	return resp, nil
 }

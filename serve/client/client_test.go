@@ -19,12 +19,18 @@ import (
 // fakeServer speaks raw wire frames with a scripted per-request handler,
 // so the client's retry/backoff behavior can be pinned without a real
 // compute server. A nil response from the handler closes the connection
-// (simulating a transient failure).
+// (simulating a transient failure); noReply leaves the request
+// unanswered and goes on reading.
 type fakeServer struct {
-	ln       net.Listener
-	requests atomic.Int64
-	handler  func(n int64, req *wire.Request) *wire.Response
+	ln         net.Listener
+	requests   atomic.Int64
+	accepts    atomic.Int64 // connections accepted
+	peerCloses atomic.Int64 // connections the client ended
+	handler    func(n int64, req *wire.Request) *wire.Response
 }
+
+// noReply is the fakeServer handler result that answers nothing.
+var noReply = &wire.Response{}
 
 func newFakeServer(t *testing.T, handler func(n int64, req *wire.Request) *wire.Response) *fakeServer {
 	t.Helper()
@@ -39,6 +45,7 @@ func newFakeServer(t *testing.T, handler func(n int64, req *wire.Request) *wire.
 			if err != nil {
 				return
 			}
+			fs.accepts.Add(1)
 			go func() {
 				defer nc.Close()
 				br := bufio.NewReader(nc)
@@ -46,12 +53,16 @@ func newFakeServer(t *testing.T, handler func(n int64, req *wire.Request) *wire.
 				for {
 					req, err := wire.ReadRequest(br)
 					if err != nil {
+						fs.peerCloses.Add(1)
 						return
 					}
 					n := fs.requests.Add(1)
 					resp := fs.handler(n, req)
 					if resp == nil {
 						return
+					}
+					if resp == noReply {
+						continue
 					}
 					if resp.ID == 0 {
 						resp.ID = req.ID

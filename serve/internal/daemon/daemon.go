@@ -268,6 +268,12 @@ func (c *Conn) serve(h Handler) {
 			if now := time.Now(); now.Sub(c.rArmed) > t/4 {
 				c.rArmed = now
 				c.nc.SetReadDeadline(now.Add(t))
+				// Shutdown sets draining before it wakes parked readers, so
+				// a re-arm that lands after the wake-up sees the flag here
+				// and wakes this reader itself.
+				if d.isDraining() {
+					c.nc.SetReadDeadline(now)
+				}
 			}
 		}
 		req, err := wire.ReadRequest(c.br)

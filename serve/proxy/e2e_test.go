@@ -1,7 +1,7 @@
 package proxy
 
 // End-to-end cluster tests: a real proxy in front of real servers,
-// driven by the real pooled client. Every completed response must be
+// driven by the real client. Every completed response must be
 // bit-identical to the corresponding in-process computation — under
 // caching, failover, and mid-stream reduction resharding. Backends run
 // Workers=1 so parallel BLAS reduction order matches the sequential

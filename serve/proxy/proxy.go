@@ -10,8 +10,9 @@
 //
 // The proxy adds no new trust boundary: ingress frames are CRC32C-
 // verified by wire.ReadRequest before anything (routing, caching) sees
-// them, upstream traffic rides the pooled serve/client (which verifies
-// response CRCs), and egress frames are sealed by wire.WriteResponse.
+// them, upstream traffic rides serve/client (which verifies response
+// CRCs; scalar forwards to one backend share its one pipelined
+// connection), and egress frames are sealed by wire.WriteResponse.
 // Proxy loops are structurally impossible past wire.MaxProxyHops: each
 // tier increments the frame's hop count and rejects at the ceiling.
 package proxy

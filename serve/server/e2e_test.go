@@ -1,9 +1,9 @@
 package server_test
 
 // End-to-end loopback test: a real server on 127.0.0.1:0, the real
-// connection-pooled client, mixed scalar + BLAS traffic from N
-// concurrent goroutines, and a bit-for-bit comparison of every remote
-// result against the corresponding direct in-process mf/blas call.
+// client, mixed scalar + BLAS traffic from N concurrent goroutines, and
+// a bit-for-bit comparison of every remote result against the
+// corresponding direct in-process mf/blas call.
 // Adversarial operands come from internal/diffuzz. The server runs with
 // Workers=1 so the BLAS reduction order matches the sequential local
 // kernels exactly (determinism is per (shape, workers); the scalar ops

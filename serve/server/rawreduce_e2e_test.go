@@ -20,7 +20,7 @@ import (
 
 // rawPeer is a minimal raw-wire client: one connection, synchronous
 // request/response, no pipelining — just enough to speak frames the
-// pooled client does not yet shape (hop counts, raw finals).
+// client does not yet shape (hop counts, raw finals).
 type rawPeer struct {
 	t    *testing.T
 	conn net.Conn
