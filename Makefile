@@ -195,16 +195,22 @@ bench-ablation:
 fig9:
 	$(GO) run ./cmd/mfbench -fig 9 -json
 
+# The smoke targets build their daemons and load generator into the
+# checkout's (gitignored) .bench_build/bin, so two checkouts, or two
+# targets, never overwrite each other's binaries, and nothing outside
+# the checkout needs to be writable.
+BIN := .bench_build/bin
+
 # serve-smoke is the CI gate for the mfserve stack: build the daemon and
 # load generator, run the daemon, drive 15s of mixed scalar traffic with
 # per-request deadlines, and fail on any protocol error or deadline miss.
 serve-smoke:
-	$(GO) build -o /tmp/mfserved ./cmd/mfserved
-	$(GO) build -o /tmp/mfload ./cmd/mfload
-	/tmp/mfserved -addr 127.0.0.1:7333 & \
+	$(GO) build -o $(BIN)/mfserved ./cmd/mfserved
+	$(GO) build -o $(BIN)/mfload ./cmd/mfload
+	$(BIN)/mfserved -addr 127.0.0.1:7333 & \
 	SERVED=$$!; \
 	sleep 1; \
-	/tmp/mfload -addr 127.0.0.1:7333 -duration 15s -mix scalar -deadline 2s -gate; \
+	$(BIN)/mfload -addr 127.0.0.1:7333 -duration 15s -mix scalar -deadline 2s -gate; \
 	RC=$$?; \
 	kill -TERM $$SERVED; wait $$SERVED; \
 	exit $$RC
@@ -224,21 +230,21 @@ PERF_SMOKE_MIN_RPS ?= 50000
 REDUCE_SMOKE_MIN_RPS ?= 20000
 MATH_SMOKE_MIN_RPS ?= 2000
 perf-smoke:
-	$(GO) build -o /tmp/mfserved ./cmd/mfserved
-	$(GO) build -o /tmp/mfload ./cmd/mfload
-	/tmp/mfserved -addr 127.0.0.1:7334 & \
+	$(GO) build -o $(BIN)/mfserved ./cmd/mfserved
+	$(GO) build -o $(BIN)/mfload ./cmd/mfload
+	$(BIN)/mfserved -addr 127.0.0.1:7334 & \
 	SERVED=$$!; \
 	sleep 1; \
-	/tmp/mfload -addr 127.0.0.1:7334 -duration 10s -conns 2 -pipeline 256 \
+	$(BIN)/mfload -addr 127.0.0.1:7334 -duration 10s -conns 2 -pipeline 256 \
 		-count 1 -op mul -width 2 -deadline 2s -gate -min-rps $(PERF_SMOKE_MIN_RPS); \
 	RC=$$?; \
 	if [ $$RC -eq 0 ]; then \
-		/tmp/mfload -addr 127.0.0.1:7334 -duration 10s -conns 2 -pipeline 256 \
+		$(BIN)/mfload -addr 127.0.0.1:7334 -duration 10s -conns 2 -pipeline 256 \
 			-count 64 -mix reduce -deadline 2s -gate -min-rps $(REDUCE_SMOKE_MIN_RPS); \
 		RC=$$?; \
 	fi; \
 	if [ $$RC -eq 0 ]; then \
-		/tmp/mfload -addr 127.0.0.1:7334 -duration 10s -conns 2 -pipeline 256 \
+		$(BIN)/mfload -addr 127.0.0.1:7334 -duration 10s -conns 2 -pipeline 256 \
 			-count 8 -mix math -deadline 5s -gate -min-rps $(MATH_SMOKE_MIN_RPS); \
 		RC=$$?; \
 	fi; \
@@ -284,24 +290,24 @@ bench-proxy:
 # The scalar leg runs with per-request deadlines; the reduction leg
 # drives multi-shape exact reductions through the shard/merge path.
 proxy-smoke:
-	$(GO) build -o /tmp/mfserved ./cmd/mfserved
-	$(GO) build -o /tmp/mfproxy ./cmd/mfproxy
-	$(GO) build -o /tmp/mfload ./cmd/mfload
-	/tmp/mfserved -addr 127.0.0.1:7341 & \
+	$(GO) build -o $(BIN)/mfserved ./cmd/mfserved
+	$(GO) build -o $(BIN)/mfproxy ./cmd/mfproxy
+	$(GO) build -o $(BIN)/mfload ./cmd/mfload
+	$(BIN)/mfserved -addr 127.0.0.1:7341 & \
 	S1=$$!; \
-	/tmp/mfserved -addr 127.0.0.1:7342 & \
+	$(BIN)/mfserved -addr 127.0.0.1:7342 & \
 	S2=$$!; \
 	sleep 1; \
-	/tmp/mfproxy -addr 127.0.0.1:7340 -backends 127.0.0.1:7341,127.0.0.1:7342 \
+	$(BIN)/mfproxy -addr 127.0.0.1:7340 -backends 127.0.0.1:7341,127.0.0.1:7342 \
 		-fail-threshold 2 -probe-after 200ms -seed 1 & \
 	PROXY=$$!; \
 	sleep 1; \
 	( sleep 5; kill -TERM $$S2; ) & \
 	KILLER=$$!; \
-	/tmp/mfload -addr 127.0.0.1:7340 -duration 12s -mix scalar -deadline 5s -gate; \
+	$(BIN)/mfload -addr 127.0.0.1:7340 -duration 12s -mix scalar -deadline 5s -gate; \
 	RC=$$?; \
 	if [ $$RC -eq 0 ]; then \
-		/tmp/mfload -addr 127.0.0.1:7340 -duration 6s -count 64 -mix reduce -gate; \
+		$(BIN)/mfload -addr 127.0.0.1:7340 -duration 6s -count 64 -mix reduce -gate; \
 		RC=$$?; \
 	fi; \
 	wait $$KILLER; \

@@ -97,7 +97,9 @@ func WithDialer(dial func(addr string, timeout time.Duration) (net.Conn, error))
 
 // Client is an mfserve client. Safe for concurrent use. Scalar calls
 // (wire.Op.Scalar) are pipelined over one lazily dialed connection that
-// they all share (mux.go). Every other call holds one pooled connection
+// they all share (mux.go): each queues its frame for the connection's
+// writer goroutine, and Go returns at once while Do and the typed calls
+// wait for the response. Every other call holds one pooled connection
 // for its exchange.
 type Client struct {
 	addr        string
@@ -116,10 +118,11 @@ type Client struct {
 	closed atomic.Bool
 
 	// muxMu guards the multiplexed connection's lifecycle: the live
-	// connection and the dial in flight.
-	muxMu   sync.Mutex
-	mux     *muxConn
-	muxDial *muxDial
+	// connection, and the calls parked on its dial. A dial is in flight
+	// exactly while parked is non-nil.
+	muxMu  sync.Mutex
+	mux    *muxConn
+	parked []*goCall
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -262,22 +265,147 @@ func (c *Client) backoff(attempt int, floor time.Duration) time.Duration {
 	return jittered
 }
 
-// do performs one request with retries, returning the OK result slab.
+// do performs one request with retries, returning the OK result slab. A
+// scalar request runs as Go and waits for its done.
 func (c *Client) do(ctx context.Context, req *wire.Request) ([]float64, error) {
+	if req.Op.Scalar() {
+		type result struct {
+			data []float64
+			err  error
+		}
+		reply := make(chan result, 1)
+		c.Go(ctx, req, func(data []float64, err error) { reply <- result{data, err} })
+		r := <-reply
+		return r.data, r.err
+	}
 	return c.withRetries(ctx, func() ([]float64, error) { return c.try(ctx, req) })
 }
 
 // Do sends one already-shaped request and returns the OK result slab,
 // with the same connection, retry, and typed-error behavior as the
-// typed calls: a scalar request shares the multiplexed connection, any
-// other holds a pooled one. This is the forwarding primitive for
-// proxies and other wire-aware callers: req's Op/Width/Count/M/Hops and
-// operand slabs are sent as given, while ID is assigned fresh per
-// attempt and Deadline is taken from ctx (any caller-set values are
-// overwritten). Failed attempts may leave req mutated; callers must not
-// reuse the struct concurrently.
+// typed calls: a scalar request is a Go call on the multiplexed
+// connection, waited for; any other holds a pooled connection for its
+// exchange. This is the synchronous forwarding primitive for wire-aware
+// callers: req's Op/Width/Count/M/Hops and operand slabs are sent as
+// given, while ID is assigned fresh per attempt and Deadline is taken
+// from ctx (any caller-set values are ignored). Failed attempts of a
+// non-scalar request may leave req mutated; callers must not reuse the
+// struct concurrently.
 func (c *Client) Do(ctx context.Context, req *wire.Request) ([]float64, error) {
 	return c.do(ctx, req)
+}
+
+// Go is Do without the wait: it starts req and returns at once, and done
+// receives what Do would have returned. Each attempt gets the same
+// fresh ID, deadline from ctx, wait, retry budget, jittered backoff
+// (with the server's retry-after hint as its floor) and typed errors as
+// under Do. Retries are re-sent from a timer; when ctx ends during a
+// backoff, done receives ctx's error at once, as Do returns it.
+//
+// A scalar request costs no goroutine: its frame is queued on the
+// multiplexed connection, whose writer goroutine writes every queued
+// frame with one flush, and whose reader delivers the response. Go never
+// blocks: when the connection is down, the call parks on the shared
+// re-dial, which runs off the caller's goroutine. A non-scalar request
+// runs Do on a goroutine of its own, on a pooled connection.
+//
+// done runs exactly once and must not block. It may run on the
+// connection's reader, on a timer, on the goroutine that failed the
+// connection, or before Go returns (an expired ctx, a closed client).
+// Go never writes to *req: each attempt sends a copy, so req must only
+// stay unchanged until done runs.
+func (c *Client) Go(ctx context.Context, req *wire.Request, done func([]float64, error)) {
+	if !req.Op.Scalar() {
+		f := *req
+		go func() { done(c.Do(ctx, &f)) }()
+		return
+	}
+	if err := ctx.Err(); err != nil {
+		done(nil, err)
+		return
+	}
+	(&goCall{c: c, ctx: ctx, req: req, done: done}).try()
+}
+
+// goCall is one scalar call, made by Go or by Do waiting on it: the
+// caller's request and callback, and the retry state its attempts share. It is also the waiter its current
+// attempt registers on the multiplexed connection; one attempt is in
+// flight at a time.
+type goCall struct {
+	c        *Client
+	ctx      context.Context
+	req      *wire.Request // the caller's; read only
+	done     func([]float64, error)
+	attempts int // attempts that have failed
+}
+
+// try starts an attempt on the live connection, or parks it on the dial.
+func (g *goCall) try() {
+	mc, err := g.c.muxOrPark(g)
+	switch {
+	case err != nil:
+		g.failed(err)
+	case mc != nil:
+		g.send(mc)
+	}
+}
+
+// send queues a frame built for this attempt on mc.
+func (g *goCall) send(mc *muxConn) {
+	f := new(wire.Request)
+	*f = *g.req
+	f.ID = g.c.nextID.Add(1)
+	f.Deadline = ctxDeadline(g.ctx)
+	if err := mc.register(f.ID, g, time.Until(exchangeDeadline(g.c.ioTimeout, f.Deadline))); err != nil {
+		g.failed(err)
+		return
+	}
+	mc.enqueue(f)
+}
+
+// deliver completes the attempt in flight, as try does for a pooled
+// one.
+func (g *goCall) deliver(resp *wire.Response, err error) {
+	if err == nil {
+		if err = statusErr(resp); err == nil {
+			g.done(checkSlab(resp.Data, wire.RespElems(g.req.Op, g.req.Width, g.req.Count, g.req.M)))
+			return
+		}
+	}
+	g.failed(err)
+}
+
+// failed ends the call with err, or schedules its retry. As in
+// withRetries, whichever comes first ends the backoff: the timer starts
+// the next attempt, or the end of ctx ends the call with ctx's error.
+func (g *goCall) failed(err error) {
+	g.attempts++
+	wait, err := g.c.afterFailure(g.attempts, err)
+	if err != nil {
+		g.done(nil, err)
+		return
+	}
+	var woke atomic.Bool
+	stop := context.AfterFunc(g.ctx, func() {
+		if woke.CompareAndSwap(false, true) {
+			g.done(nil, g.ctx.Err())
+		}
+	})
+	time.AfterFunc(wait, func() {
+		if woke.CompareAndSwap(false, true) {
+			stop()
+			g.retry()
+		}
+	})
+}
+
+// retry starts the next attempt once its backoff has passed.
+func (g *goCall) retry() {
+	if err := g.ctx.Err(); err != nil {
+		g.done(nil, err)
+		return
+	}
+	g.try()
 }
 
 // IsRetryable reports whether err — from any call on this package's
@@ -298,22 +426,7 @@ func IsRetryable(err error) bool {
 // engine behind single-request calls (do) and streaming reductions,
 // whose unit of retry is the whole stream.
 func (c *Client) withRetries(ctx context.Context, attemptFn func() ([]float64, error)) ([]float64, error) {
-	var lastErr error
-	var retryAfter time.Duration
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt > c.maxRetries {
-				return nil, fmt.Errorf("mfserve: %d attempts failed: %w", attempt, lastErr)
-			}
-			t := time.NewTimer(c.backoff(attempt, retryAfter))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			case <-t.C:
-			}
-			retryAfter = 0
-		}
+	for attempts := 1; ; attempts++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -321,13 +434,32 @@ func (c *Client) withRetries(ctx context.Context, attemptFn func() ([]float64, e
 		if err == nil {
 			return data, nil
 		}
-		lastErr = err
-		var to *transientError
-		if !errors.As(err, &to) {
+		wait, err := c.afterFailure(attempts, err)
+		if err != nil {
 			return nil, err
 		}
-		retryAfter = to.retryAfter
+		t := time.NewTimer(wait)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return nil, ctx.Err()
+		case <-t.C:
+		}
 	}
+}
+
+// afterFailure is the retry policy Do and Go share: given that the
+// call's attempts so far all failed, the last with err, it returns the
+// backoff before the next attempt, or the error that ends the call.
+func (c *Client) afterFailure(attempts int, err error) (time.Duration, error) {
+	var te *transientError
+	switch {
+	case !errors.As(err, &te):
+		return 0, err
+	case attempts > c.maxRetries:
+		return 0, fmt.Errorf("mfserve: %d attempts failed: %w", attempts, err)
+	}
+	return c.backoff(attempts, te.retryAfter), nil
 }
 
 // transientError wraps retryable failures.
@@ -425,18 +557,12 @@ func (pc *poolConn) recv(id uint64) (*wire.Response, error) {
 	return nil, readErr(err)
 }
 
-// try performs a single attempt: a scalar request on the multiplexed
-// connection, any other on one pooled connection.
+// try performs a single attempt of a non-scalar request on one pooled
+// connection.
 func (c *Client) try(ctx context.Context, req *wire.Request) ([]float64, error) {
 	req.ID = c.nextID.Add(1)
 	req.Deadline = ctxDeadline(ctx)
-	var resp *wire.Response
-	var err error
-	if req.Op.Scalar() {
-		resp, err = c.exchangeMux(req)
-	} else {
-		resp, err = c.exchangePooled(req)
-	}
+	resp, err := c.exchangePooled(req)
 	if err != nil {
 		return nil, err
 	}

@@ -12,41 +12,47 @@ import (
 
 // The multiplexed connection. Scalar requests (wire.Op.Scalar) are
 // answered asynchronously by the server's batching lanes, so any number
-// of them can be in flight on one connection: each call writes its frame
-// behind the ones already queued and waits for the response carrying its
-// request ID. BLAS and reduction frames execute on the server's
-// connection reader, where they would stall every frame queued behind
-// them, so they keep the pooled exclusive connections.
+// of them can be in flight on one connection, each answered by the
+// response carrying its request ID. BLAS and reduction frames execute
+// on the server's connection reader, where they would stall every frame
+// queued behind them, so they keep the pooled exclusive connections.
+//
+// Every scalar call is a goCall, Do and the typed calls included: they
+// wait for its done. Each attempt queues a frame built for it, and the
+// connection's writer goroutine, its only writer, writes everything
+// queued and flushes once per drain, so a burst of calls costs one
+// write syscall and no goroutine each. One reader goroutine hands each
+// response to its call.
 //
 // The connection keeps the pooled exchange's contract where one call's
 // fate is concerned. It is dialed through Client.dial, and after a
-// failure it is re-dialed once, by the first caller that finds it gone;
-// concurrent callers share that dial. A call waits at most as long as
-// exchangeDeadline allows and then returns a retryable timeout; since
-// other calls share the connection, that answers only the call, and a
-// response that still comes for it is dropped. Only when the connection
-// has read nothing for ioTimeout while owing responses, the pooled
-// exchange's longest wait, does a call that runs out fail it. A CRC or
-// framing failure, or a response whose ID matches no request, fails it
-// with a retryable ErrIntegrity error; any other read or write error
-// fails it with a plain retryable one. Every waiting call then receives
-// that error, and withRetries retries it.
+// failure it is re-dialed once, on a goroutine of its own, when the
+// first call finds it gone. Calls arriving meanwhile park on that dial
+// and are sent, or failed, when it ends, so no caller waits on a dial.
+// A call waits at most as long as exchangeDeadline allows and then gets
+// a retryable timeout; since other calls share the connection, that
+// answers only the call, and a response that still comes for it is
+// dropped. Only when the connection has read nothing for ioTimeout
+// while owing responses, the pooled exchange's longest wait, does a
+// call that runs out fail it. A CRC or framing failure, or a response
+// whose ID matches no request, fails it with a retryable ErrIntegrity
+// error; any other read or write error fails it with a plain retryable
+// one. Every waiting call then receives that error and is retried.
 
 // muxConn is one pipelined connection shared by concurrent scalar calls.
 type muxConn struct {
 	*poolConn
 	ioTimeout time.Duration
 
-	// wmu serializes frame writes. writers counts the calls holding or
-	// queued for it; the last one out flushes, so a burst of concurrent
-	// calls shares one write syscall.
-	wmu     sync.Mutex
-	writers atomic.Int32
+	// queue holds the frames waiting for the writer goroutine; kick
+	// (capacity 1) wakes it.
+	qmu   sync.Mutex
+	queue []*wire.Request
+	kick  chan struct{}
 
 	mu sync.Mutex
-	// calls holds every response owed, by request ID: the waiting call's
-	// channel, or nil once that call has given up. nil once failed.
-	calls map[uint64]chan muxResult
+	// calls holds every response owed, by request ID. nil once failed.
+	calls map[uint64]muxEntry
 	// heard is when the connection last showed life while owing
 	// responses: its last response read, or the call that found nothing
 	// owed.
@@ -54,66 +60,69 @@ type muxConn struct {
 	err   error       // why the connection failed
 	dead  atomic.Bool // err != nil, readable without mu
 
+	stop       chan struct{} // closed when the connection fails
 	readerDone chan struct{} // closed when readLoop returns
+	writerDone chan struct{} // closed when writeLoop returns
 }
 
-// muxResult is what a waiting call receives: its response or its
-// failure, exactly once. Whoever takes its channel out of calls sends it,
-// and the call's channel has room for that one value, so the send never
-// blocks, even with mu held.
-type muxResult struct {
-	resp *wire.Response
-	err  error
+// muxEntry is one owed response: the call waiting for it, and the timer
+// that gives up on it. Whoever takes the entry out of calls delivers the
+// call's response or failure, exactly once, with no lock held. g is nil
+// once the call has given up.
+type muxEntry struct {
+	g *goCall
+	t *time.Timer
 }
 
-// muxDial is one dial of the multiplexed connection; callers arriving
-// while it runs wait on done and share its outcome.
-type muxDial struct {
-	done chan struct{}
-	mc   *muxConn
-	err  error
-}
-
-// muxConn returns the live multiplexed connection, dialing one if there
-// is none.
-func (c *Client) muxConn() (*muxConn, error) {
+// muxOrPark returns the live multiplexed connection. With none, it parks
+// g on the dial in flight, starting one on its own goroutine if needed,
+// and returns nil: runDial sends g when the dial ends.
+func (c *Client) muxOrPark(g *goCall) (*muxConn, error) {
 	c.muxMu.Lock()
+	defer c.muxMu.Unlock()
 	if mc := c.mux; mc != nil && !mc.dead.Load() {
-		c.muxMu.Unlock()
 		return mc, nil
 	}
 	if c.closed.Load() {
-		c.muxMu.Unlock()
 		return nil, ErrClosed
 	}
-	if d := c.muxDial; d != nil {
-		c.muxMu.Unlock()
-		<-d.done
-		return d.mc, d.err
+	if c.parked == nil {
+		go c.runDial()
 	}
-	d := &muxDial{done: make(chan struct{})}
-	c.muxDial = d
-	c.muxMu.Unlock()
-
-	d.mc, d.err = c.dialMux()
-	c.muxMu.Lock()
-	c.muxDial = nil
-	if d.err == nil {
-		// Close flips closed before it takes muxMu, so either it sees this
-		// connection published or this check sees the flag.
-		if c.closed.Load() {
-			d.mc.fail(ErrClosed)
-			d.mc, d.err = nil, ErrClosed
-		} else {
-			c.mux = d.mc
-		}
-	}
-	c.muxMu.Unlock()
-	close(d.done)
-	return d.mc, d.err
+	c.parked = append(c.parked, g)
+	return nil, nil
 }
 
-// dialMux dials a multiplexed connection and starts its reader.
+// runDial dials the multiplexed connection, publishes it, and sends or
+// fails the calls parked on the dial.
+func (c *Client) runDial() {
+	mc, err := c.dialMux()
+	c.muxMu.Lock()
+	if err == nil {
+		// Close flips closed before it takes muxMu, so either it sees this
+		// connection published or this check sees the flag. The new
+		// connection owes nothing yet, so failing it answers no call.
+		if c.closed.Load() {
+			mc.fail(ErrClosed)
+			mc, err = nil, ErrClosed
+		} else {
+			c.mux = mc
+		}
+	}
+	parked := c.parked
+	c.parked = nil
+	c.muxMu.Unlock()
+	for _, g := range parked {
+		if err != nil {
+			g.failed(err)
+		} else {
+			g.send(mc)
+		}
+	}
+}
+
+// dialMux dials a multiplexed connection and starts its reader and
+// writer.
 func (c *Client) dialMux() (*muxConn, error) {
 	pc, err := c.dial()
 	if err != nil {
@@ -122,15 +131,21 @@ func (c *Client) dialMux() (*muxConn, error) {
 	mc := &muxConn{
 		poolConn:   pc,
 		ioTimeout:  c.ioTimeout,
-		calls:      make(map[uint64]chan muxResult),
+		kick:       make(chan struct{}, 1),
+		calls:      make(map[uint64]muxEntry),
+		stop:       make(chan struct{}),
 		readerDone: make(chan struct{}),
+		writerDone: make(chan struct{}),
 	}
 	go mc.readLoop()
+	go mc.writeLoop()
 	return mc, nil
 }
 
 // closeMux fails the multiplexed connection's waiting calls with
-// ErrClosed and waits for its reader to return.
+// ErrClosed and waits for its reader and writer to return. A dial in
+// flight is not waited for: it ends within the dial timeout, and
+// runDial then closes what it dialed and fails its parked calls.
 func (c *Client) closeMux() {
 	c.muxMu.Lock()
 	mc := c.mux
@@ -139,32 +154,13 @@ func (c *Client) closeMux() {
 	if mc != nil {
 		mc.fail(ErrClosed)
 		<-mc.readerDone
+		<-mc.writerDone
 	}
 }
 
-// exchangeMux sends req on the multiplexed connection and waits for its
-// response.
-func (c *Client) exchangeMux(req *wire.Request) (*wire.Response, error) {
-	mc, err := c.muxConn()
-	if err != nil {
-		return nil, err
-	}
-	id, done := req.ID, make(chan muxResult, 1)
-	if err := mc.register(id, done); err != nil {
-		return nil, err
-	}
-	// The timer may still be firing after the call returns, when a retry
-	// already reuses req; it must not read req.
-	wait := time.Until(exchangeDeadline(c.ioTimeout, req.Deadline))
-	t := time.AfterFunc(wait, func() { mc.expire(id, wait) })
-	mc.send(req)
-	r := <-done
-	t.Stop()
-	return r.resp, r.err
-}
-
-// register enters a call waiting for the response to id.
-func (mc *muxConn) register(id uint64, done chan muxResult) error {
+// register enters g as waiting for the response to id, and arms the
+// timer that gives up on it after wait.
+func (mc *muxConn) register(id uint64, g *goCall, wait time.Duration) error {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	if mc.err != nil {
@@ -173,22 +169,56 @@ func (mc *muxConn) register(id uint64, done chan muxResult) error {
 	if len(mc.calls) == 0 {
 		mc.heard = time.Now()
 	}
-	mc.calls[id] = done
+	mc.calls[id] = muxEntry{g: g, t: time.AfterFunc(wait, func() { mc.expire(id, wait) })}
 	return nil
 }
 
-// send writes req behind the frames already queued. A write error fails
-// the connection, which also answers this call.
-func (mc *muxConn) send(req *wire.Request) {
-	mc.writers.Add(1)
-	mc.wmu.Lock()
-	err := wire.WriteRequest(mc.bw, req)
-	if mc.writers.Add(-1) == 0 && err == nil {
-		err = mc.bw.Flush()
+// enqueue hands req to the writer goroutine, which owns it from then on.
+func (mc *muxConn) enqueue(req *wire.Request) {
+	mc.qmu.Lock()
+	mc.queue = append(mc.queue, req)
+	first := len(mc.queue) == 1
+	mc.qmu.Unlock()
+	if first {
+		select {
+		case mc.kick <- struct{}{}:
+		default:
+		}
 	}
-	mc.wmu.Unlock()
-	if err != nil {
-		mc.fail(&transientError{err: err})
+}
+
+// writeLoop is the connection's only writer: on each wake-up it takes
+// the whole queue, writes it and flushes once. A write error fails the
+// connection, which answers every waiting call. It returns when the
+// connection fails.
+func (mc *muxConn) writeLoop() {
+	defer close(mc.writerDone)
+	var spare []*wire.Request
+	for {
+		select {
+		case <-mc.kick:
+		case <-mc.stop:
+			return
+		}
+		mc.qmu.Lock()
+		batch := mc.queue
+		mc.queue = spare[:0]
+		mc.qmu.Unlock()
+		var err error
+		for _, req := range batch {
+			if err = wire.WriteRequest(mc.bw, req); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = mc.bw.Flush()
+		}
+		clear(batch)
+		spare = batch
+		if err != nil {
+			mc.fail(&transientError{err: err})
+			return
+		}
 	}
 }
 
@@ -197,17 +227,21 @@ func (mc *muxConn) send(req *wire.Request) {
 // the connection has read nothing for ioTimeout, it fails instead.
 func (mc *muxConn) expire(id uint64, wait time.Duration) {
 	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	done := mc.calls[id]
-	if done == nil {
+	e := mc.calls[id]
+	if e.g == nil {
+		mc.mu.Unlock()
 		return // answered, or the connection failed
 	}
 	if quiet := time.Since(mc.heard); quiet >= mc.ioTimeout {
-		mc.failLocked(&transientError{err: fmt.Errorf("no response for %v: %w", quiet.Round(time.Millisecond), os.ErrDeadlineExceeded)})
+		err := &transientError{err: fmt.Errorf("no response for %v: %w", quiet.Round(time.Millisecond), os.ErrDeadlineExceeded)}
+		calls := mc.failLocked(err)
+		mc.mu.Unlock()
+		answer(calls, err)
 		return
 	}
-	mc.calls[id] = nil
-	done <- muxResult{err: &transientError{err: fmt.Errorf("request %d: no response within %v: %w", id, wait, os.ErrDeadlineExceeded)}}
+	mc.calls[id] = muxEntry{}
+	mc.mu.Unlock()
+	e.g.deliver(nil, &transientError{err: fmt.Errorf("request %d: no response within %v: %w", id, wait, os.ErrDeadlineExceeded)})
 }
 
 // readLoop hands each response to the call waiting on its ID until the
@@ -221,18 +255,21 @@ func (mc *muxConn) readLoop() {
 			return
 		}
 		mc.mu.Lock()
-		done, owed := mc.calls[resp.ID]
+		e, owed := mc.calls[resp.ID]
 		if !owed {
-			mc.failLocked(integrityErr(fmt.Errorf("response id %d matches no request", resp.ID)))
+			err := integrityErr(fmt.Errorf("response id %d matches no request", resp.ID))
+			calls := mc.failLocked(err)
 			mc.mu.Unlock()
+			answer(calls, err)
 			return
 		}
 		delete(mc.calls, resp.ID)
 		mc.heard = time.Now()
-		if done != nil {
-			done <- muxResult{resp: resp}
-		}
 		mc.mu.Unlock()
+		if e.g != nil {
+			e.t.Stop()
+			e.g.deliver(resp, nil)
+		}
 	}
 }
 
@@ -240,22 +277,33 @@ func (mc *muxConn) readLoop() {
 // Only the first failure counts.
 func (mc *muxConn) fail(err error) {
 	mc.mu.Lock()
-	mc.failLocked(err)
+	calls := mc.failLocked(err)
 	mc.mu.Unlock()
+	answer(calls, err)
 }
 
-// failLocked is fail with mu held.
-func (mc *muxConn) failLocked(err error) {
+// failLocked marks the connection failed and closes it, with mu held,
+// and returns the calls it owed, for answer once mu is released. Only
+// the first failure counts.
+func (mc *muxConn) failLocked(err error) map[uint64]muxEntry {
 	if mc.err != nil {
-		return
+		return nil
 	}
 	mc.err = err
 	mc.dead.Store(true)
 	mc.nc.Close()
-	for _, done := range mc.calls {
-		if done != nil {
-			done <- muxResult{err: err}
+	close(mc.stop)
+	calls := mc.calls
+	mc.calls = nil
+	return calls
+}
+
+// answer delivers err to every call still waiting in calls.
+func answer(calls map[uint64]muxEntry, err error) {
+	for _, e := range calls {
+		if e.g != nil {
+			e.t.Stop()
+			e.g.deliver(nil, err)
 		}
 	}
-	mc.calls = nil
 }

@@ -1,10 +1,10 @@
 // Package daemon is the connection machinery mfserved (serve/server) and
 // mfproxy (serve/proxy) share: the listener and its accept loop, the
 // connection set and the graceful-drain order, coarse deadline arming,
-// the frame read loop with its failure classification, the locked
-// write+flush of responses, and the counters every daemon keeps. A
-// daemon supplies only what differs: a Handler per connection and its
-// shutdown hooks.
+// the frame read loop with its failure classification, the two ways to
+// write responses (a locked write+flush, and a queue drained by a writer
+// goroutine), and the counters every daemon keeps. A daemon supplies
+// only what differs: a Handler per connection and its shutdown hooks.
 package daemon
 
 import (
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"multifloats/serve/wire"
@@ -58,10 +59,10 @@ type Daemon struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	conns    map[*Conn]struct{}
-	draining bool
-	connWG   sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[*Conn]struct{}
+	drainc chan struct{} // closed under mu when draining starts
+	connWG sync.WaitGroup
 }
 
 // New returns an unstarted daemon. Zero Addr, IdleTimeout and
@@ -77,7 +78,7 @@ func New(cfg Config) *Daemon {
 		cfg.WriteTimeout = 30 * time.Second
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Daemon{cfg: cfg, ctx: ctx, cancel: cancel, conns: make(map[*Conn]struct{})}
+	return &Daemon{cfg: cfg, ctx: ctx, cancel: cancel, conns: make(map[*Conn]struct{}), drainc: make(chan struct{})}
 }
 
 // Listen binds the configured address. Call before Serve; Addr is valid
@@ -119,13 +120,16 @@ func (d *Daemon) Serve() error {
 			tc.SetNoDelay(true)
 		}
 		c := &Conn{
-			d:  d,
-			nc: nc,
-			br: bufio.NewReaderSize(nc, 1<<16),
-			bw: bufio.NewWriterSize(nc, 1<<16),
+			d:     d,
+			nc:    nc,
+			br:    bufio.NewReaderSize(nc, 1<<16),
+			bw:    bufio.NewWriterSize(nc, 1<<16),
+			kick:  make(chan struct{}, 1),
+			room:  make(chan struct{}, 1),
+			wdone: make(chan struct{}),
 		}
 		d.mu.Lock()
-		if d.draining {
+		if d.isDraining() {
 			d.mu.Unlock()
 			nc.Close()
 			continue
@@ -160,7 +164,7 @@ func (d *Daemon) ServeListener(ln net.Listener) error {
 	// accept on a listener nobody will ever close.
 	d.mu.Lock()
 	d.ln = ln
-	draining := d.draining
+	draining := d.isDraining()
 	d.mu.Unlock()
 	if draining {
 		ln.Close()
@@ -169,10 +173,14 @@ func (d *Daemon) ServeListener(ln net.Listener) error {
 	return d.Serve()
 }
 
+// isDraining reports whether Shutdown has begun.
 func (d *Daemon) isDraining() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.draining
+	select {
+	case <-d.drainc:
+		return true
+	default:
+		return false
+	}
 }
 
 // Shutdown drains gracefully: stop accepting, fence new requests (they
@@ -182,11 +190,11 @@ func (d *Daemon) isDraining() bool {
 // at once.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
-	if d.draining {
+	if d.isDraining() {
 		d.mu.Unlock()
 		return nil
 	}
-	d.draining = true
+	close(d.drainc)
 	ln := d.ln
 	d.mu.Unlock()
 
@@ -197,7 +205,8 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		d.cfg.Drain()
 	}
 	// Unblock readers parked in Read; draining readers exit on the timeout
-	// error instead of treating it as a peer failure.
+	// error instead of treating it as a peer failure. Readers parked on a
+	// full response queue woke when drainc closed.
 	d.mu.Lock()
 	for c := range d.conns {
 		c.nc.SetReadDeadline(time.Now())
@@ -245,7 +254,23 @@ type Conn struct {
 	wmu    sync.Mutex
 	bw     *bufio.Writer
 	wArmed time.Time
+
+	// The queued writer (QueueResponse). Producers append to queue under
+	// qmu; the writer goroutine, started by the first of them, takes the
+	// whole queue at once and writes it through bw under wmu.
+	qmu      sync.Mutex
+	queue    []wire.Response
+	qstarted bool          // the writer goroutine runs
+	qclosed  bool          // the connection is ending: drop new responses
+	queued   atomic.Int64  // bytes queued and not yet written
+	kick     chan struct{} // cap 1: the queue has work, or is closing
+	room     chan struct{} // cap 1: the writer wrote a batch
+	wdone    chan struct{} // closed when the writer goroutine exits
 }
+
+// maxQueued is how many bytes of queued responses a connection may hold
+// before its reader stops reading: one write buffer.
+const maxQueued = 1 << 16
 
 // serve is the connection's read loop: read a frame, classify a failed
 // read, fence requests that arrive during a drain, reject invalid ones,
@@ -253,6 +278,7 @@ type Conn struct {
 func (c *Conn) serve(h Handler) {
 	d := c.d
 	defer func() {
+		c.stopWriter()
 		d.mu.Lock()
 		delete(d.conns, c)
 		d.mu.Unlock()
@@ -261,6 +287,9 @@ func (c *Conn) serve(h Handler) {
 		h.Close()
 	}()
 	for {
+		if !c.waitRoom() {
+			return
+		}
 		// Arm the idle/stall timeout for the next frame: the deadline
 		// covers the whole frame read, so a peer that trickles a frame one
 		// byte at a time is bounded exactly like a silent one.
@@ -268,7 +297,7 @@ func (c *Conn) serve(h Handler) {
 			if now := time.Now(); now.Sub(c.rArmed) > t/4 {
 				c.rArmed = now
 				c.nc.SetReadDeadline(now.Add(t))
-				// Shutdown sets draining before it wakes parked readers, so
+				// Shutdown closes drainc before it wakes parked readers, so
 				// a re-arm that lands after the wake-up sees the flag here
 				// and wakes this reader itself.
 				if d.isDraining() {
@@ -346,18 +375,129 @@ func (c *Conn) WriteResponse(resp *wire.Response) error {
 }
 
 // WriteResponses writes a group of responses and flushes once: one lock
-// hold, one counter update, one syscall for the whole group. Write
-// errors are swallowed, as in WriteResponse.
-func (c *Conn) WriteResponses(resps []wire.Response) {
+// hold, one counter update, one syscall for the whole group. It returns
+// the first write error; the server's lanes ignore it, as WriteResponse
+// callers do.
+func (c *Conn) WriteResponses(resps []wire.Response) error {
 	c.lockWriter()
 	n := 0
+	var err error
 	for i := range resps {
-		if wire.WriteResponse(c.bw, &resps[i]) != nil {
+		if err = wire.WriteResponse(c.bw, &resps[i]); err != nil {
 			break
 		}
 		n++
 	}
-	c.bw.Flush()
+	if err == nil {
+		err = c.bw.Flush()
+	}
 	c.wmu.Unlock()
 	c.d.cfg.Stats.Responses.Add(int64(n))
+	return err
+}
+
+// QueueResponse hands resp to the connection's writer goroutine and
+// returns without touching the socket, so it never blocks on the peer.
+// The writer takes everything queued at once and writes it with one
+// flush. It is for responses that arrive one at a time from many
+// goroutines (the proxy's upstream completions), where a locked write
+// per response would cost a syscall each and stall each producer behind
+// a slow peer. Once the connection has ended, or its writer has failed,
+// responses are dropped. Write errors and WriteTimeout end the
+// connection.
+func (c *Conn) QueueResponse(resp *wire.Response) {
+	c.qmu.Lock()
+	if c.qclosed {
+		c.qmu.Unlock()
+		return
+	}
+	c.queue = append(c.queue, *resp)
+	c.queued.Add(int64(wire.ResponseSize(resp)))
+	if !c.qstarted {
+		c.qstarted = true
+		go c.writeLoop()
+	}
+	first := len(c.queue) == 1
+	c.qmu.Unlock()
+	if first {
+		wake(c.kick)
+	}
+}
+
+// wake posts a wake-up on a capacity-1 channel; one already pending
+// suffices.
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop is the queued writer: on each wake-up it takes the whole
+// queue, writes it and flushes once. It exits after the batch that finds
+// the queue closed, or on a write error, which also closes the
+// connection so its reader stops.
+func (c *Conn) writeLoop() {
+	defer close(c.wdone)
+	var spare []wire.Response
+	for range c.kick {
+		c.qmu.Lock()
+		batch, closing := c.queue, c.qclosed
+		c.queue = spare[:0]
+		c.qmu.Unlock()
+		if len(batch) > 0 {
+			var n int64
+			for i := range batch {
+				n += int64(wire.ResponseSize(&batch[i]))
+			}
+			err := c.WriteResponses(batch)
+			clear(batch) // release the response slabs
+			c.queued.Add(-n)
+			wake(c.room)
+			if err != nil {
+				c.qmu.Lock()
+				c.qclosed = true
+				c.queue = nil
+				c.qmu.Unlock()
+				c.nc.Close()
+				return
+			}
+		}
+		spare = batch
+		if closing {
+			return
+		}
+	}
+}
+
+// waitRoom parks the reader while more than maxQueued bytes of responses
+// wait for the writer, so a peer that stops reading stops being read.
+// Only the reader waits; producers always queue. It reports false when
+// the connection should end instead: its writer failed, or the daemon
+// is draining.
+func (c *Conn) waitRoom() bool {
+	for c.queued.Load() > maxQueued {
+		select {
+		case <-c.room:
+		case <-c.wdone:
+			return false
+		case <-c.d.drainc:
+			return false
+		}
+	}
+	return true
+}
+
+// stopWriter closes the queue and, if the writer runs, waits for it to
+// write what is queued and exit. A peer that does not read bounds that
+// wait by WriteTimeout, or by Shutdown closing the connection.
+func (c *Conn) stopWriter() {
+	c.qmu.Lock()
+	c.qclosed = true
+	started := c.qstarted
+	c.qmu.Unlock()
+	if started {
+		wake(c.kick)
+		<-c.wdone
+	}
 }

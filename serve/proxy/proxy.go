@@ -8,17 +8,26 @@
 // over between replicas on the client package's typed retryable errors
 // with per-backend health scoring.
 //
+// Forwarding is asynchronous. A connection's reader serves each
+// single-frame request inline: a cache hit is answered at once, and a
+// miss picks a backend and starts client.Go on it, which queues a
+// scalar frame on the backend client's one pipelined connection. The
+// upstream completion caches and answers, or fails over. No goroutine
+// runs per forwarded frame, and every response goes out through the
+// connection's queued writer (serve/internal/daemon), so neither the
+// reader nor a completion ever writes to a socket.
+//
 // The proxy adds no new trust boundary: ingress frames are CRC32C-
 // verified by wire.ReadRequest before anything (routing, caching) sees
 // them, upstream traffic rides serve/client (which verifies response
-// CRCs; scalar forwards to one backend share its one pipelined
-// connection), and egress frames are sealed by wire.WriteResponse.
-// Proxy loops are structurally impossible past wire.MaxProxyHops: each
-// tier increments the frame's hop count and rejects at the ceiling.
+// CRCs), and egress frames are sealed by wire.WriteResponse. Proxy
+// loops are structurally impossible past wire.MaxProxyHops: each tier
+// increments the frame's hop count and rejects at the ceiling.
 package proxy
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -107,10 +116,11 @@ func (c *Config) fillDefaults() {
 // ListenAndServe, ServeListener and Shutdown methods come from the
 // daemon skeleton it shares with mfserved (serve/internal/daemon): the
 // listener, connection set, frame read loop and drain order. Shutdown
-// mirrors the server's: stop accepting, answer new requests
-// StatusOverloaded, let in-flight forwards and open reduction streams
-// finish up to ctx's deadline, then close everything including the
-// backend clients.
+// stops accepting, answers new requests StatusOverloaded and wakes
+// every connection reader. Each connection then writes the responses
+// already queued, up to ctx's deadline, and closes, aborting its open
+// reduction streams and dropping answers to forwards still in flight.
+// Last, the backend clients close.
 type Proxy struct {
 	*core
 	cfg    Config
@@ -183,15 +193,18 @@ type pxConn struct {
 // Close aborts the connection's open reduction streams.
 func (c *pxConn) Close() { c.abortAllReductions() }
 
-// Handle dispatches one validated request. A non-nil return closes the
-// connection.
+// Handle dispatches one validated request. It never writes to the
+// socket: every response goes through the connection's queued writer,
+// so neither this reader nor an upstream completion waits on a slow
+// downstream peer.
 func (c *pxConn) Handle(req *wire.Request) error {
 	// Loop guard: forwarding increments the hop count, so a request
 	// already at the ceiling cannot go upstream — it has visited
 	// MaxProxyHops proxy tiers and is looping.
 	if req.Hops+1 > wire.MaxProxyHops {
 		c.p.stats.LoopRejects.Add(1)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
+		c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
+		return nil
 	}
 
 	// Streamed reductions (a continuation, or a fresh non-final chunk)
@@ -200,70 +213,97 @@ func (c *pxConn) Handle(req *wire.Request) error {
 	// reduction (final, no open stream) is an ordinary request.
 	if req.Op.Reduction() {
 		if _, open := c.reds[req.ID]; open || req.M&wire.FlagReduceFinal == 0 {
-			return c.handleReduce(req)
+			c.handleReduce(req)
+			return nil
 		}
 	}
+	c.forward(req)
+	return nil
+}
 
-	// Single-frame request: forward concurrently, bounded by the
-	// in-flight budget; beyond it, shed with a retry hint rather than
-	// queueing (the client's jittered backoff is the queue).
+// forward serves one single-frame request from the reader goroutine. A
+// cache hit is answered at once. A miss takes an in-flight slot, or is
+// shed with a retry hint beyond the budget (the client's jittered
+// backoff is the queue), and starts its upstream call; the call's
+// completion answers it or fails over.
+func (c *pxConn) forward(req *wire.Request) {
+	key := cacheKey(req)
+	if data, ok := c.p.cache.get(key); ok {
+		c.p.stats.CacheHits.Add(1)
+		c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: data})
+		return
+	}
 	select {
 	case c.p.sem <- struct{}{}:
 	default:
 		c.p.stats.Overloads.Add(1)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 5})
-	}
-	go func() {
-		defer func() { <-c.p.sem }()
-		c.forwardUnary(req)
-	}()
-	return nil
-}
-
-// forwardUnary serves one single-frame request: cache, route, forward
-// with failover, respond.
-func (c *pxConn) forwardUnary(req *wire.Request) {
-	key := cacheKey(req)
-	if data, ok := c.p.cache.get(key); ok {
-		c.p.stats.CacheHits.Add(1)
-		c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: data})
+		c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 5})
 		return
 	}
 	if c.p.cache != nil {
 		c.p.stats.CacheMisses.Add(1)
 	}
+	u := &upstream{c: c, key: key, h: ringHash(&key), frame: *req}
+	u.frame.Hops++
+	u.ctx, u.cancel = c.RequestContext(req)
+	u.next(nil)
+}
 
-	ctx, cancel := c.RequestContext(req)
-	defer cancel()
+// upstream is one forwarded request on its walk over the backends: one
+// client.Go per backend tried, each spending that client's retry budget
+// before the next backend is tried.
+type upstream struct {
+	c      *pxConn
+	key    [sha256.Size]byte
+	h      uint64       // ring point, from key
+	frame  wire.Request // the downstream request with one more hop; its ID is the downstream ID
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	h := ringHash(&key)
-	fwd := *req
-	fwd.Hops = req.Hops + 1
-	var tried uint64
-	var lastErr error
-	for attempt := 0; attempt < len(c.p.router.backends); attempt++ {
-		b := c.p.router.acquire(h, tried)
-		if b == nil {
-			break
-		}
-		data, err := b.cli.Do(ctx, &fwd)
-		c.p.router.release(b, err)
-		if err == nil {
-			c.p.cache.put(key, data)
-			c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: data})
-			return
-		}
-		lastErr = err
-		if !client.IsRetryable(err) || ctx.Err() != nil {
-			break
-		}
-		if i := c.p.router.index(b); i >= 0 {
-			tried |= 1 << uint(i)
-		}
-		c.p.stats.Failovers.Add(1)
+	b     *backend // the backend of the attempt in flight
+	tried uint64   // bitmask of backends that failed
+}
+
+// next sends the request to the next backend on its ring walk, or, with
+// none left, answers with lastErr's status.
+func (u *upstream) next(lastErr error) {
+	if b := u.c.p.router.acquire(u.h, u.tried); b != nil {
+		u.b = b
+		b.cli.Go(u.ctx, &u.frame, u.done)
+		return
 	}
-	status, retryMs := c.statusFor(lastErr)
-	c.WriteResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
+	status, retryMs := u.c.statusFor(lastErr)
+	u.finish(&wire.Response{ID: u.frame.ID, Status: status, RetryAfterMs: retryMs})
+}
+
+// done completes one backend's attempt: answer, or fail over on a
+// retryable error while the request's deadline holds.
+func (u *upstream) done(data []float64, err error) {
+	r := u.c.p.router
+	r.release(u.b, err)
+	if err == nil {
+		u.c.p.cache.put(u.key, data)
+		u.finish(&wire.Response{ID: u.frame.ID, Status: wire.StatusOK, Data: data})
+		return
+	}
+	if !client.IsRetryable(err) || u.ctx.Err() != nil {
+		status, retryMs := u.c.statusFor(err)
+		u.finish(&wire.Response{ID: u.frame.ID, Status: status, RetryAfterMs: retryMs})
+		return
+	}
+	if i := r.index(u.b); i >= 0 {
+		u.tried |= 1 << uint(i)
+	}
+	u.c.p.stats.Failovers.Add(1)
+	u.next(err)
+}
+
+// finish queues the downstream response, then returns the in-flight
+// slot.
+func (u *upstream) finish(resp *wire.Response) {
+	u.c.QueueResponse(resp)
+	u.cancel()
+	<-u.c.p.sem
 }
 
 // statusFor maps an upstream failure to the downstream status (and

@@ -83,18 +83,19 @@ func shardHash(id uint64, shard int) uint64 {
 }
 
 // handleReduce processes one streamed reduction chunk on the reader
-// goroutine. A non-nil return closes the downstream connection.
-func (c *pxConn) handleReduce(req *wire.Request) error {
-	fail := func(status wire.Status, retryMs uint32) error {
+// goroutine.
+func (c *pxConn) handleReduce(req *wire.Request) {
+	fail := func(status wire.Status, retryMs uint32) {
 		c.dropReduction(req.ID)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
+		c.QueueResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
 	}
 	red := c.reds[req.ID]
 	switch {
 	case red == nil:
 		if len(c.reds) >= maxOpenReductions {
 			c.p.stats.ProtocolErrors.Add(1)
-			return fail(wire.StatusBadRequest, 0)
+			fail(wire.StatusBadRequest, 0)
+			return
 		}
 		ctx, cancel := c.RequestContext(req)
 		nshards := c.p.cfg.ReduceShards
@@ -117,27 +118,30 @@ func (c *pxConn) handleReduce(req *wire.Request) error {
 		c.reds[req.ID] = red
 	case red.op != req.Op || red.width != req.Width:
 		c.p.stats.ProtocolErrors.Add(1)
-		return fail(wire.StatusBadRequest, 0)
+		fail(wire.StatusBadRequest, 0)
+		return
 	}
 	if red.ctx.Err() != nil {
 		c.p.stats.DeadlineMisses.Add(1)
-		return fail(wire.StatusDeadlineExceeded, 0)
+		fail(wire.StatusDeadlineExceeded, 0)
+		return
 	}
 
 	s := red.shards[red.rr%len(red.shards)]
 	red.rr++
 
 	if req.M&wire.FlagReduceFinal != 0 {
-		return c.handleReduceFinal(red, req, s)
+		c.handleReduceFinal(red, req, s)
+		return
 	}
 
 	if err := red.sendChunk(c, req.ID, s, req.Count, req.X, req.Y); err != nil {
-		status, retryMs := c.reduceStatusFor(err)
-		return fail(status, retryMs)
+		fail(c.reduceStatusFor(err))
+		return
 	}
 	red.retain(s, req)
 	c.p.stats.ReduceChunks.Add(1)
-	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
+	c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
 }
 
 // retain appends the chunk to the shard's replay log, dropping all
@@ -268,10 +272,10 @@ func (red *pxReduce) finishShard(c *pxConn, id uint64, s *pxShard, count int, x,
 // handleReduceFinal completes the stream: finish every shard raw,
 // merge, round once, answer downstream. s is the shard the final
 // chunk's payload is assigned to.
-func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard) error {
-	fail := func(status wire.Status, retryMs uint32) error {
+func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard) {
+	fail := func(status wire.Status, retryMs uint32) {
 		c.dropReduction(req.ID)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
+		c.QueueResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
 	}
 	merged := new(exact.Accumulator)
 	for _, sh := range red.shards {
@@ -283,8 +287,8 @@ func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard)
 			data, err = red.finishShard(c, req.ID, sh, 0, nil, nil)
 		}
 		if err != nil {
-			status, retryMs := c.reduceStatusFor(err)
-			return fail(status, retryMs)
+			fail(c.reduceStatusFor(err))
+			return
 		}
 		if data == nil {
 			continue
@@ -293,7 +297,8 @@ func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard)
 		if derr != nil {
 			// The slab passed the client's CRC and length checks, so a
 			// decode failure means a broken backend, not a broken wire.
-			return fail(wire.StatusInternal, 0)
+			fail(wire.StatusInternal, 0)
+			return
 		}
 		merged.Merge(dec)
 	}
@@ -309,9 +314,10 @@ func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard)
 	c.dropReduction(req.ID)
 	if deadlined {
 		c.p.stats.DeadlineMisses.Add(1)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
+		c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
+		return
 	}
-	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
+	c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
 }
 
 // reduceStatusFor maps a shard failure to the downstream status.

@@ -220,13 +220,19 @@ func ReadRequest(r io.Reader) (*Request, error) {
 
 const respFixed = 8 // status, reserved×3, retry-after
 
+// ResponseSize is the size in bytes of resp's encoded frame.
+func ResponseSize(resp *Response) int {
+	return HeaderSize + respFixed + 8*len(resp.Data) + TrailerSize
+}
+
 // WriteResponse encodes resp as a single frame.
 func WriteResponse(w io.Writer, resp *Response) error {
-	payload := respFixed + 8*len(resp.Data)
+	size := ResponseSize(resp)
+	payload := size - HeaderSize - TrailerSize
 	if payload > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, payload)
 	}
-	bp, buf := getBuf(HeaderSize + payload + TrailerSize)
+	bp, buf := getBuf(size)
 	defer putBuf(bp)
 	putHeader(buf, frameResponse, payload, resp.ID, 0)
 	p := buf[HeaderSize:]

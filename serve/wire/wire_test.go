@@ -76,6 +76,9 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err := WriteResponse(&buf, &rc); err != nil {
 			t.Fatalf("WriteResponse: %v", err)
 		}
+		if n := ResponseSize(&rc); n != buf.Len() {
+			t.Fatalf("ResponseSize %d, WriteResponse wrote %d bytes", n, buf.Len())
+		}
 		got, err := ReadResponse(&buf)
 		if err != nil {
 			t.Fatalf("ReadResponse: %v", err)
