@@ -3,16 +3,23 @@
 
 GO ?= go
 
-.PHONY: check test race vet build lint mflint gensync prove prove-smoke fuzz-smoke conformance bench-smoke bench-ablation fig9 serve-smoke perf-smoke bench-serve bench-proxy proxy-smoke chaos chaos-smoke ledger-check ledger-pairs
+.PHONY: check test race vet build crossbuild lint mflint gensync prove prove-smoke fuzz-smoke conformance bench-smoke bench-ablation fig9 serve-smoke perf-smoke bench-serve bench-proxy proxy-smoke chaos chaos-smoke ledger-check ledger-pairs
 
-# check is the full pre-merge gate: build, static analysis (vet + the
-# domain-aware mflint contract checks), generated-code drift, the proof
-# cache gate, tests, the race detector over the worker pool and
-# blocked kernels, and the mfledger benchmark module's own vet + tests.
-check: build lint gensync prove-smoke test race ledger-check
+# check is the full pre-merge gate: build (natively and for a big-endian
+# target), static analysis (vet + the domain-aware mflint contract
+# checks), generated-code drift, the proof cache gate, tests, the race
+# detector over the worker pool and blocked kernels, and the mfledger
+# benchmark module's own vet + tests.
+check: build crossbuild lint gensync prove-smoke test race ledger-check
 
 build:
 	$(GO) build ./...
+
+# crossbuild type-checks and vets the serve stack for s390x, a big-endian
+# target: serve/wire selects its copying codec path there at build time
+# (endian_big.go), and this keeps that build compiling. Works offline.
+crossbuild:
+	GOARCH=s390x $(GO) vet ./serve/...
 
 vet:
 	$(GO) vet ./...
@@ -171,6 +178,11 @@ fuzz-smoke:
 	$(GO) test ./mf -run '^$$' -fuzz '^FuzzPow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMulAcc$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/blas -run '^$$' -fuzz '^FuzzGemm$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzSumVsOracle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzDecodeFloats$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./serve/wire -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./serve/wire -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./serve/proxy -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME)
 
 # conformance runs a short differential campaign against the exact
 # oracles (the registry includes the sumexact/dotexact zero-ulp entries

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,27 +13,7 @@ func eqBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(
 // across sign mixes, subnormals, huge/tiny magnitudes, products, and
 // special values — and encoding does not disturb the source accumulator.
 func TestCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	fill := []func(a *Accumulator){
-		func(a *Accumulator) {},
-		func(a *Accumulator) { a.Add(1); a.Add(-1); a.Add(0x1p-1074) },
-		func(a *Accumulator) {
-			for i := 0; i < 500; i++ {
-				a.Add((rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(600)-300))
-			}
-		},
-		func(a *Accumulator) {
-			for i := 0; i < 200; i++ {
-				a.AddProduct(math.Ldexp(rng.Float64(), -rng.Intn(1074)), math.Ldexp(-rng.Float64(), -rng.Intn(1074)))
-			}
-		},
-		func(a *Accumulator) { a.Add(-0x1.fffffffffffffp1023); a.Add(-0x1p970) },
-		func(a *Accumulator) { a.Add(math.Inf(1)); a.Add(3) },
-		func(a *Accumulator) { a.Add(math.Inf(-1)) },
-		func(a *Accumulator) { a.Add(math.NaN()) },
-		func(a *Accumulator) { a.Add(math.Inf(1)); a.Add(math.Inf(-1)) },
-	}
-	for fi, f := range fill {
+	for fi, f := range codecFills(rand.New(rand.NewSource(41))) {
 		var a Accumulator
 		f(&a)
 		before := a
@@ -55,6 +36,30 @@ func TestCodecRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// codecFills are the accumulator states the codec tests encode: sign
+// mixes, subnormals, huge/tiny magnitudes, products, and special values.
+func codecFills(rng *rand.Rand) []func(a *Accumulator) {
+	return []func(a *Accumulator){
+		func(a *Accumulator) {},
+		func(a *Accumulator) { a.Add(1); a.Add(-1); a.Add(0x1p-1074) },
+		func(a *Accumulator) {
+			for i := 0; i < 500; i++ {
+				a.Add((rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(600)-300))
+			}
+		},
+		func(a *Accumulator) {
+			for i := 0; i < 200; i++ {
+				a.AddProduct(math.Ldexp(rng.Float64(), -rng.Intn(1074)), math.Ldexp(-rng.Float64(), -rng.Intn(1074)))
+			}
+		},
+		func(a *Accumulator) { a.Add(-0x1.fffffffffffffp1023); a.Add(-0x1p970) },
+		func(a *Accumulator) { a.Add(math.Inf(1)); a.Add(3) },
+		func(a *Accumulator) { a.Add(math.Inf(-1)) },
+		func(a *Accumulator) { a.Add(math.NaN()) },
+		func(a *Accumulator) { a.Add(math.Inf(1)); a.Add(math.Inf(-1)) },
 	}
 }
 
@@ -136,4 +141,40 @@ func TestDecodeFloatsHostile(t *testing.T) {
 	if _, err := DecodeFloats(append(append([]float64(nil), good...), 0)); err == nil {
 		t.Error("long slab decoded")
 	}
+}
+
+// FuzzDecodeFloats feeds DecodeFloats arbitrary words (the input bytes
+// read as little-endian uint64 bit patterns, the form a raw-final
+// reduction response carries them in). Every slab it accepts must
+// re-encode identically — the encoding has one form per state — and
+// fold down without panicking.
+func FuzzDecodeFloats(f *testing.F) {
+	for _, fill := range codecFills(rand.New(rand.NewSource(41))) {
+		var a Accumulator
+		fill(&a)
+		var b []byte
+		for _, w := range a.EncodeFloats() {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		words := make([]float64, len(b)/8)
+		for i := range words {
+			words[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		a, err := DecodeFloats(words)
+		if err != nil {
+			return
+		}
+		for i, w := range a.EncodeFloats() {
+			if !eqBits(w, words[i]) {
+				t.Fatalf("word %d re-encodes as %#x, decoded from %#x", i, math.Float64bits(w), math.Float64bits(words[i]))
+			}
+		}
+		a.Sum()
+		for w := 1; w <= 4; w++ {
+			a.SumExpansion(w)
+		}
+	})
 }

@@ -30,6 +30,11 @@ type Config struct {
 	// WriteTimeout bounds each response write+flush (default 30 seconds;
 	// negative disables).
 	WriteTimeout time.Duration
+	// MaxDim, if positive, bounds each request's operand slabs in
+	// expansion elements. The decoder applies it from the frame header
+	// (wire.ReadRequestMax), so an oversized request's body is never
+	// buffered; the request is answered StatusBadRequest.
+	MaxDim int
 	// Stats receives the skeleton's counts.
 	Stats *Counters
 	// Open returns the handler for a newly accepted connection.
@@ -273,8 +278,8 @@ type Conn struct {
 const maxQueued = 1 << 16
 
 // serve is the connection's read loop: read a frame, classify a failed
-// read, fence requests that arrive during a drain, reject invalid ones,
-// and hand the rest to h.
+// read, fence requests that arrive during a drain, reject oversized and
+// invalid ones, and hand the rest to h.
 func (c *Conn) serve(h Handler) {
 	d := c.d
 	defer func() {
@@ -305,8 +310,9 @@ func (c *Conn) serve(h Handler) {
 				}
 			}
 		}
-		req, err := wire.ReadRequest(c.br)
-		if err != nil {
+		req, err := wire.ReadRequestMax(c.br, d.cfg.MaxDim)
+		oversized := errors.Is(err, wire.ErrMaxDim)
+		if err != nil && !oversized {
 			// EOF and peer resets are normal disconnects; framing errors
 			// poison the stream; a checksum mismatch means the bytes cannot
 			// be trusted at all. Every case ends the connection — but the
@@ -327,7 +333,7 @@ func (c *Conn) serve(h Handler) {
 		case d.isDraining():
 			c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 1000})
 			return
-		case req.Validate() != nil:
+		case oversized || req.Validate() != nil:
 			d.cfg.Stats.ProtocolErrors.Add(1)
 			err = c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
 		default:

@@ -8,8 +8,14 @@ package proxy
 // (ID, deadline, hop count), or the cache would never hit.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -176,4 +182,67 @@ func TestResultCacheLRUBound(t *testing.T) {
 	if _, ok := nilCache.get(keys[0]); ok {
 		t.Error("nil cache returned a value")
 	}
+}
+
+// FuzzCacheKey decodes fuzzed request frames and checks the key's two
+// properties on every request the wire layer accepts: volatile routing
+// metadata does not reach the key, and flipping any one operand bit
+// changes it. Seeds are the wire package's golden request frames; each
+// input is resealed (CRC trailer recomputed) before decoding, so
+// mutations reach the key instead of stopping at the checksum.
+func FuzzCacheKey(f *testing.F) {
+	seeds, _ := filepath.Glob("../wire/testdata/golden/req-*.frame")
+	if len(seeds) == 0 {
+		f.Fatal("no golden request frames to seed from")
+	}
+	for _, p := range seeds {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, uint64(0), int64(0), uint8(0), uint32(0))
+	}
+	f.Fuzz(func(t *testing.T, frame []byte, id uint64, deadline int64, hops uint8, flip uint32) {
+		if len(frame) < wire.HeaderSize {
+			return
+		}
+		// Skip frames declaring more than 1 MiB: decoding allocates the
+		// declared geometry, so a hostile length would cost up to a GiB.
+		n := wire.HeaderSize + int(binary.LittleEndian.Uint32(frame[4:]))
+		if n > wire.HeaderSize+1<<20 || len(frame) < n+wire.TrailerSize {
+			return
+		}
+		frame = bytes.Clone(frame)
+		binary.LittleEndian.PutUint32(frame[n:], crc32.Checksum(frame[:n], crc32.MakeTable(crc32.Castagnoli)))
+		req, err := wire.ReadRequest(bytes.NewReader(frame))
+		if err != nil || req.Validate() != nil {
+			return
+		}
+		key := keyOf(req)
+
+		moved := *req
+		moved.ID, moved.Deadline, moved.Hops = id, time.Unix(0, deadline), int(hops)%(wire.MaxProxyHops+1)
+		if keyOf(&moved) != key {
+			t.Fatal("ID, deadline or hops changed the cache key")
+		}
+
+		slabs := [][]float64{slices.Clone(req.Alpha), slices.Clone(req.X), slices.Clone(req.Y)}
+		bits := 64 * (len(req.Alpha) + len(req.X) + len(req.Y))
+		if bits == 0 {
+			return
+		}
+		bit := int(flip % uint32(bits))
+		for _, s := range slabs {
+			if bit < 64*len(s) {
+				s[bit/64] = math.Float64frombits(math.Float64bits(s[bit/64]) ^ 1<<(bit%64))
+				break
+			}
+			bit -= 64 * len(s)
+		}
+		flipped := *req
+		flipped.Alpha, flipped.X, flipped.Y = slabs[0], slabs[1], slabs[2]
+		if keyOf(&flipped) == key {
+			t.Fatalf("flipping operand bit %d did not change the cache key", flip%uint32(bits))
+		}
+	})
 }

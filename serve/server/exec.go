@@ -5,6 +5,7 @@ import (
 
 	"multifloats/internal/blas"
 	"multifloats/mf"
+	"multifloats/serve/internal/slab"
 	"multifloats/serve/wire"
 )
 
@@ -165,70 +166,60 @@ func execMathSlab(op wire.Op, width int, x, y, z *blas.SoA, count, workers int) 
 
 // execBlas runs a validated BLAS request on the specialized kernels —
 // the same tiled/blocked paths the benchmarks measure — and returns the
-// result slab. Determinism: each kernel's operation order is a pure
-// function of (shape, workers), so a client comparing against a local
-// call with the same worker count sees bit-identical results.
+// result slab. The kernels compute on expansion views of the decoded
+// slabs (serve/internal/slab), which belong to this request alone: Axpy
+// updates Y in place and answers with it, and Gemv/Gemm write into one
+// fresh result slab. Determinism: each kernel's operation order is a
+// pure function of (shape, workers), so a client comparing against a
+// local call with the same worker count sees bit-identical results.
 func execBlas(req *wire.Request, workers int) []float64 {
 	switch req.Op {
 	case wire.OpDot:
 		switch req.Width {
 		case 2:
-			r := blas.DotF2Parallel(wire.Unpack2(req.X), wire.Unpack2(req.Y), workers)
+			r := blas.DotF2Parallel(slab.As[mfF2](req.X), slab.As[mfF2](req.Y), workers)
 			return r[:]
 		case 3:
-			r := blas.DotF3Parallel(wire.Unpack3(req.X), wire.Unpack3(req.Y), workers)
+			r := blas.DotF3Parallel(slab.As[mfF3](req.X), slab.As[mfF3](req.Y), workers)
 			return r[:]
 		default:
-			r := blas.DotF4Parallel(wire.Unpack4(req.X), wire.Unpack4(req.Y), workers)
+			r := blas.DotF4Parallel(slab.As[mfF4](req.X), slab.As[mfF4](req.Y), workers)
 			return r[:]
 		}
 	case wire.OpAxpy:
 		switch req.Width {
 		case 2:
-			y := wire.Unpack2(req.Y)
-			blas.AxpyF2Parallel([2]float64(req.Alpha), wire.Unpack2(req.X), y, workers)
-			return wire.Pack2(y)
+			blas.AxpyF2Parallel([2]float64(req.Alpha), slab.As[mfF2](req.X), slab.As[mfF2](req.Y), workers)
 		case 3:
-			y := wire.Unpack3(req.Y)
-			blas.AxpyF3Parallel([3]float64(req.Alpha), wire.Unpack3(req.X), y, workers)
-			return wire.Pack3(y)
+			blas.AxpyF3Parallel([3]float64(req.Alpha), slab.As[mfF3](req.X), slab.As[mfF3](req.Y), workers)
 		default:
-			y := wire.Unpack4(req.Y)
-			blas.AxpyF4Parallel([4]float64(req.Alpha), wire.Unpack4(req.X), y, workers)
-			return wire.Pack4(y)
+			blas.AxpyF4Parallel([4]float64(req.Alpha), slab.As[mfF4](req.X), slab.As[mfF4](req.Y), workers)
 		}
+		return req.Y
 	case wire.OpGemv:
 		n, m := req.Count, req.M
+		out := make([]float64, n*req.Width)
 		switch req.Width {
 		case 2:
-			y := make([]mfF2, n)
-			blas.GemvTiledF2Parallel(wire.Unpack2(req.X), n, m, wire.Unpack2(req.Y), y, workers)
-			return wire.Pack2(y)
+			blas.GemvTiledF2Parallel(slab.As[mfF2](req.X), n, m, slab.As[mfF2](req.Y), slab.As[mfF2](out), workers)
 		case 3:
-			y := make([]mfF3, n)
-			blas.GemvTiledF3Parallel(wire.Unpack3(req.X), n, m, wire.Unpack3(req.Y), y, workers)
-			return wire.Pack3(y)
+			blas.GemvTiledF3Parallel(slab.As[mfF3](req.X), n, m, slab.As[mfF3](req.Y), slab.As[mfF3](out), workers)
 		default:
-			y := make([]mfF4, n)
-			blas.GemvTiledF4Parallel(wire.Unpack4(req.X), n, m, wire.Unpack4(req.Y), y, workers)
-			return wire.Pack4(y)
+			blas.GemvTiledF4Parallel(slab.As[mfF4](req.X), n, m, slab.As[mfF4](req.Y), slab.As[mfF4](out), workers)
 		}
+		return out
 	case wire.OpGemm:
 		n := req.Count
+		out := make([]float64, n*n*req.Width)
 		switch req.Width {
 		case 2:
-			c := make([]mfF2, n*n)
-			blas.GemmBlockedF2Parallel(wire.Unpack2(req.X), wire.Unpack2(req.Y), c, n, workers)
-			return wire.Pack2(c)
+			blas.GemmBlockedF2Parallel(slab.As[mfF2](req.X), slab.As[mfF2](req.Y), slab.As[mfF2](out), n, workers)
 		case 3:
-			c := make([]mfF3, n*n)
-			blas.GemmBlockedF3Parallel(wire.Unpack3(req.X), wire.Unpack3(req.Y), c, n, workers)
-			return wire.Pack3(c)
+			blas.GemmBlockedF3Parallel(slab.As[mfF3](req.X), slab.As[mfF3](req.Y), slab.As[mfF3](out), n, workers)
 		default:
-			c := make([]mfF4, n*n)
-			blas.GemmBlockedF4Parallel(wire.Unpack4(req.X), wire.Unpack4(req.Y), c, n, workers)
-			return wire.Pack4(c)
+			blas.GemmBlockedF4Parallel(slab.As[mfF4](req.X), slab.As[mfF4](req.Y), slab.As[mfF4](out), n, workers)
 		}
+		return out
 	}
 	panic(fmt.Sprintf("execBlas: unreachable op %v", req.Op))
 }

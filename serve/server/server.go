@@ -9,7 +9,7 @@
 // (the Add/Sub/Mul/Div/Sqrt arithmetic and the Exp..Hypot transcendental
 // family) are enqueued on their lane and answered asynchronously when the
 // lane flushes (batch full, window expired, or a member deadline
-// imminent). BLAS requests (Axpy/Dot/Gemv/Gemv) are
+// imminent). BLAS requests (Axpy/Dot/Gemv/Gemm) are
 // already slab-shaped, so they execute immediately on the reader
 // goroutine against the specialized parallel kernels. All responses to a
 // connection are serialized through its buffered writer; a batch flush
@@ -54,6 +54,7 @@ type Config struct {
 	Workers int
 	// MaxDim bounds a single request's operand size (expansion elements
 	// per slab) so one frame cannot monopolize the server (default 1<<20).
+	// It is checked from the frame header, before the body is buffered.
 	MaxDim int
 	// IdleTimeout bounds how long a connection may take to deliver its
 	// next complete request frame (covering both idle gaps and mid-frame
@@ -122,6 +123,7 @@ func New(cfg Config) *Server {
 		Addr:         cfg.Addr,
 		IdleTimeout:  cfg.IdleTimeout,
 		WriteTimeout: cfg.WriteTimeout,
+		MaxDim:       cfg.MaxDim,
 		Stats:        &s.stats.counters,
 		Open:         func(c *daemon.Conn) daemon.Handler { return &srvConn{Conn: c, s: s} },
 		Drain: func() {
@@ -154,11 +156,6 @@ func (c *srvConn) Close() { c.dropAllReductions() }
 // Handle dispatches one validated request. A non-nil return closes the
 // connection.
 func (c *srvConn) Handle(req *wire.Request) error {
-	if max(len(req.X), len(req.Y)) > c.s.cfg.MaxDim*req.Width {
-		c.s.stats.ProtocolErrors.Add(1)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
-	}
-
 	ctx, cancel := c.RequestContext(req)
 
 	if req.Op.Scalar() {

@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -189,15 +191,60 @@ func TestMalformedFrameClosesConn(t *testing.T) {
 }
 
 // TestOversizedDimRejected: a structurally valid request beyond MaxDim is
-// answered StatusBadRequest rather than executed.
+// answered StatusBadRequest rather than executed, and counted; the
+// connection stays usable for the next request.
 func TestOversizedDimRejected(t *testing.T) {
 	s := startTestServer(t, Config{MaxDim: 8})
 	c := dialTest(t, s)
 	n := 16
 	c.send(t, &wire.Request{ID: 1, Op: wire.OpDot, Width: 2, Count: n,
 		X: make([]float64, n*2), Y: make([]float64, n*2)})
-	if resp := c.recv(t); resp.Status != wire.StatusBadRequest {
-		t.Fatalf("status %v, want bad-request", resp.Status)
+	if resp := c.recv(t); resp.ID != 1 || resp.Status != wire.StatusBadRequest {
+		t.Fatalf("id %d status %v, want 1 bad-request", resp.ID, resp.Status)
+	}
+	if got := s.Stats().ProtocolErrors.Load(); got != 1 {
+		t.Fatalf("protocol errors = %d, want 1", got)
+	}
+	c.send(t, &wire.Request{ID: 2, Op: wire.OpDot, Width: 2, Count: 8,
+		X: make([]float64, 16), Y: make([]float64, 16)})
+	if resp := c.recv(t); resp.ID != 2 || resp.Status != wire.StatusOK {
+		t.Fatalf("next request: id %d status %v, want 2 ok", resp.ID, resp.Status)
+	}
+}
+
+// TestOversizedHeaderAllocatesNothing: the MaxDim bound applies from the
+// frame header, so a bare header declaring a huge body (which then never
+// comes) cannot make the server allocate that body.
+func TestOversizedHeaderAllocatesNothing(t *testing.T) {
+	s := startTestServer(t, Config{MaxDim: 8})
+	c := dialTest(t, s)
+	// A full round trip first, so the connection's own buffers exist
+	// before the baseline.
+	c.send(t, &wire.Request{ID: 1, Op: wire.OpAdd, Width: 2, Count: 1, X: []float64{1, 0}, Y: []float64{2, 0}})
+	c.recv(t)
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	base := m.HeapAlloc
+
+	// Width-4 Dot over 1M elements: a 64 MiB body.
+	const n, w = 1 << 20, 4
+	h := make([]byte, wire.HeaderSize+12)
+	h[0], h[1], h[2], h[3] = 'M', 'F', wire.Version, 1
+	binary.LittleEndian.PutUint32(h[4:], 12+2*n*w*8)
+	binary.LittleEndian.PutUint64(h[8:], 2)
+	h[wire.HeaderSize], h[wire.HeaderSize+1] = byte(wire.OpDot), w
+	binary.LittleEndian.PutUint32(h[wire.HeaderSize+4:], n)
+	if _, err := c.nc.Write(h); err != nil {
+		t.Fatal(err)
+	}
+	// The server has nothing to report until the body arrives, so watch
+	// its heap for a while.
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc > base+1<<20 {
+			t.Fatalf("heap grew by %d bytes after a bare oversized header", m.HeapAlloc-base)
+		}
 	}
 }
 

@@ -128,7 +128,8 @@ func TestWireRoundTripProperty(t *testing.T) {
 }
 
 // TestPackUnpackBitExact pins the slab reshapes as lossless, including on
-// special values.
+// special values, and as copies: writing to a result leaves its input
+// unchanged.
 func TestPackUnpackBitExact(t *testing.T) {
 	g := diffuzz.NewGen(7)
 	v2 := make([]mf.Float64x2, 64)
@@ -163,5 +164,22 @@ func TestPackUnpackBitExact(t *testing.T) {
 				t.Fatalf("Unpack4(Pack4) not bit-exact at %d[%d]", i, k)
 			}
 		}
+	}
+	// Copies, not views: writing to a result leaves its input unchanged.
+	p2, p3, p4 := Pack2(v2), Pack3(v3), Pack4(v4)
+	for _, p := range [][]float64{Pack2(v2), Pack3(v3), Pack4(v4)} {
+		for i := range p {
+			p[i] = 42
+		}
+	}
+	if !bitsEqual(Pack2(v2), p2) || !bitsEqual(Pack3(v3), p3) || !bitsEqual(Pack4(v4), p4) {
+		t.Fatal("writing to a Pack result changed its input")
+	}
+	u2, u3, u4 := Unpack2(p2), Unpack3(p3), Unpack4(p4)
+	for i := range u2 {
+		u2[i][0], u3[i][1], u4[i][3] = 42, 42, 42
+	}
+	if !bitsEqual(p2, Pack2(v2)) || !bitsEqual(p3, Pack3(v3)) || !bitsEqual(p4, Pack4(v4)) {
+		t.Fatal("writing to an Unpack result changed its input")
 	}
 }

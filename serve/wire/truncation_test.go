@@ -9,12 +9,12 @@ import (
 	"time"
 )
 
-// truncationFrames is one well-formed frame per interesting shape: every
-// op family (binary scalar, unary scalar, axpy with alpha, dot, gemv
-// with distinct n/m, gemm) plus the response variants (OK with data,
-// overloaded with retry hint, empty deadline-miss).
-func truncationFrames(t *testing.T) map[string][]byte {
-	t.Helper()
+// frameShapes is one well-formed request or response per interesting
+// shape: every op family (binary scalar, unary scalar, axpy with alpha,
+// dot, gemv with distinct n/m, gemm) plus the response variants (OK with
+// data, overloaded with retry hint, empty deadline-miss). Names start
+// with "req-" or "resp-".
+func frameShapes() (map[string]*Request, map[string]*Response) {
 	comps := func(n int) []float64 {
 		v := make([]float64, n)
 		for i := range v {
@@ -65,6 +65,13 @@ func truncationFrames(t *testing.T) map[string][]byte {
 		"resp-overloaded": {ID: 8, Status: StatusOverloaded, RetryAfterMs: 25},
 		"resp-deadline":   {ID: 9, Status: StatusDeadlineExceeded},
 	}
+	return reqs, resps
+}
+
+// truncationFrames encodes every frameShapes shape, keyed by its name.
+func truncationFrames(t testing.TB) map[string][]byte {
+	t.Helper()
+	reqs, resps := frameShapes()
 	frames := make(map[string][]byte, len(reqs)+len(resps))
 	for name, r := range reqs {
 		var buf bytes.Buffer

@@ -11,6 +11,14 @@
 // special-value contract. The wire base type is float64 (the serving
 // tier's configuration); float32 expansions are a client-side concern.
 //
+// Because that encoding is the memory of a []float64 on a little-endian
+// host, the codec moves operands without converting them: a decoder
+// reads each frame's payload straight into the one slab it returns
+// (Request.Alpha, X and Y are consecutive pieces of it), and an encoder
+// writes straight from the caller's slabs. Decoded slabs are ordinary
+// garbage-collected memory that belongs to the caller, so nothing needs
+// releasing. Big-endian hosts take a copying path instead (frame.go).
+//
 // Frame layout (all integers little-endian):
 //
 //	offset  size  field
@@ -268,6 +276,10 @@ var (
 	// The frame was corrupted in flight (or the peer is broken); nothing
 	// decoded from it can be trusted and the connection must be closed.
 	ErrChecksum = errors.New("wire: frame checksum mismatch")
+	// ErrMaxDim: ReadRequestMax read an intact request whose operands
+	// exceed the reader's bound. Unlike the errors above it leaves the
+	// stream aligned: the request can be answered and the next one read.
+	ErrMaxDim = errors.New("wire: request exceeds the reader's dimension bound")
 )
 
 // Untrusted reports whether err is a read failure of the frame bytes

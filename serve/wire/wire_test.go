@@ -186,6 +186,39 @@ func TestReadErrors(t *testing.T) {
 			t.Fatalf("err = %v, want ErrMalformed before body allocation", err)
 		}
 	})
+	t.Run("reserved-bytes", func(t *testing.T) {
+		// The format documents these bytes as 0. A sealed frame that sets
+		// one would decode, then re-encode to different bytes.
+		var buf bytes.Buffer
+		if err := WriteResponse(&buf, &Response{ID: 2, Status: StatusOK, Data: []float64{1, 0}}); err != nil {
+			t.Fatal(err)
+		}
+		resp := buf.Bytes()
+		for _, c := range []struct {
+			name  string
+			frame []byte
+			off   int
+		}{
+			{"request-payload-3", valid(), HeaderSize + 3},
+			{"response-header-16", resp, 16},
+			{"response-header-23", resp, 23},
+			{"response-payload-1", resp, HeaderSize + 1},
+			{"response-payload-3", resp, HeaderSize + 3},
+		} {
+			b := bytes.Clone(c.frame)
+			b[c.off] = 1
+			reseal(b)
+			var err error
+			if b[3] == frameRequest {
+				_, err = ReadRequest(bytes.NewReader(b))
+			} else {
+				_, err = ReadResponse(bytes.NewReader(b))
+			}
+			if !errors.Is(err, ErrMalformed) {
+				t.Errorf("%s: err = %v, want ErrMalformed", c.name, err)
+			}
+		}
+	})
 	t.Run("bad-width", func(t *testing.T) {
 		r := Request{Op: OpAdd, Width: 5, Count: 1, X: make([]float64, 5), Y: make([]float64, 5)}
 		if err := r.Validate(); !errors.Is(err, ErrMalformed) {
@@ -198,6 +231,38 @@ func TestReadErrors(t *testing.T) {
 			t.Fatalf("Validate = %v, want ErrMalformed", err)
 		}
 	})
+}
+
+// TestReadRequestMax: a request beyond the reader's bound comes back as
+// ErrMaxDim with its header fields and no slabs, its body consumed, so
+// the next frame on the stream decodes. An oversized body is still
+// checksummed.
+func TestReadRequestMax(t *testing.T) {
+	var buf bytes.Buffer
+	over := &Request{ID: 5, Op: OpGemv, Width: 2, Count: 3, M: 4, X: make([]float64, 24), Y: make([]float64, 8)}
+	next := &Request{ID: 6, Op: OpAdd, Width: 2, Count: 4, X: make([]float64, 8), Y: make([]float64, 8)}
+	for _, req := range []*Request{over, next} {
+		if err := WriteRequest(&buf, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := buf.Bytes()
+	r := bytes.NewReader(frames)
+	req, err := ReadRequestMax(r, 4) // gemv's X slab holds 12 expansions
+	if !errors.Is(err, ErrMaxDim) || Untrusted(err) {
+		t.Fatalf("oversized: err = %v, want ErrMaxDim", err)
+	}
+	if req == nil || req.ID != over.ID || req.Op != over.Op || req.X != nil || req.Y != nil {
+		t.Fatalf("oversized: got %+v, want its header fields and no slabs", req)
+	}
+	if req, err := ReadRequestMax(r, 4); err != nil || !sameRequest(req, next) {
+		t.Fatalf("frame after the oversized one: %+v, %v", req, err)
+	}
+	bad := bytes.Clone(frames)
+	bad[HeaderSize+reqFixed+5] ^= 1
+	if _, err := ReadRequestMax(bytes.NewReader(bad), 4); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupted oversized body: err = %v, want ErrChecksum", err)
+	}
 }
 
 func TestOpParse(t *testing.T) {
