@@ -267,9 +267,10 @@ func (l *lane) exec(batch []*pending) {
 		c.WriteResponses(resps)
 	}
 	if sb != nil {
-		// Safe to recycle: WriteResponses serializes each response's Data
-		// into the connection's buffered writer before returning, so no
-		// reference to sb.out survives the loop above.
+		// Safe to recycle: WriteResponses has written each response's Data
+		// (into the connection's buffered writer, or for a slab larger than
+		// its free space straight through to the connection) before
+		// returning, so no reference to sb.out survives the loop above.
 		putSoABatch(sb)
 	}
 }
