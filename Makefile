@@ -180,6 +180,7 @@ fuzz-smoke:
 	$(GO) test ./internal/blas -run '^$$' -fuzz '^FuzzGemm$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzSumVsOracle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzDecodeFloats$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exact -run '^$$' -fuzz '^FuzzDotSlab$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./serve/wire -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./serve/wire -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./serve/proxy -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME)

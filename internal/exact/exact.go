@@ -231,18 +231,102 @@ func (a *Accumulator) AddValues(xs []float64) {
 // (wire layout: element i occupies s[i*w:(i+1)*w]). Each element
 // product expands to the w² exact cross products of the components —
 // every one deposited exactly, so the fold is the correctly rounded
-// true dot product for any finite inputs.
+// true dot product for any finite inputs. w must be 1..4 and x and y
+// must hold the same whole number of elements; AddDotSlab panics
+// otherwise.
 //
 //mf:hotpath
 func (a *Accumulator) AddDotSlab(w int, x, y []float64) {
-	for i := 0; i+w <= len(x); i += w {
-		for j := 0; j < w; j++ {
-			for k := 0; k < w; k++ {
-				a.addProd(x[i+j], y[i+k])
+	if w < 1 || w > maxDotWidth {
+		panic("exact.AddDotSlab: width outside 1..4")
+	}
+	if len(x) != len(y) || len(x)%w != 0 {
+		panic("exact.AddDotSlab: slabs differ in length or end in a partial element")
+	}
+	if w == 1 {
+		for i := range x {
+			a.addProd(x[i], y[i])
+			a.bump(1)
+		}
+		return
+	}
+	// Blocks end at the element whose w² deposits reach the renorm
+	// budget, so renorms land exactly where per-element bumps put them.
+	ww := w * w
+	for len(x) > 0 {
+		n := min((renormEvery-a.pending+ww-1)/ww*w, len(x))
+		a.addDotElems(w, x[:n], y[:n])
+		a.bump(n / w * ww)
+		x, y = x[n:], y[n:]
+	}
+}
+
+// maxDotWidth is the widest element AddDotSlab folds: addDotElems holds
+// one element's decomposed components in fixed 4-wide scratch.
+const maxDotWidth = 4
+
+// dotComp is one decomposed component (see decompose): significand,
+// shifted exponent and sign bit.
+type dotComp struct{ m, u, s uint64 }
+
+// addDotElems deposits the w² exact cross products of every element
+// pair of x and y, whole width-w elements with 1 ≤ w ≤ 4. It decomposes
+// each component once per element, not once per product, and folds the
+// special-value flags a row at a time with w-bit masks over y's
+// components (bit k for y_k), kept in registers and turned into 0/1
+// flags once per call (DESIGN.md §3.3). That leaves addProd's multiply,
+// shift and five deposits in the w² loop. Callers own the
+// pending-deposit budget (w² per element, see bump).
+//
+//mf:branchfree
+//mf:hotpath
+func (a *Accumulator) addDotElems(w int, x, y []float64) {
+	var yc [maxDotWidth]dotComp
+	wmask := uint64(1)<<w - 1
+	var nanAcc, pinfAcc, ninfAcc uint64
+	for e := 0; e < len(x); e += w {
+		var ynan, yinf, yzero, ysgn uint64
+		for k, v := range y[e : e+w] {
+			m, u, sb, nan, inf := decompose(math.Float64bits(v))
+			yc[k] = dotComp{m, u, sb}
+			ynan |= nan << k
+			yinf |= inf << k
+			yzero |= (((m | (0 - m)) >> 63) ^ 1) &^ (nan | inf) << k
+			ysgn |= sb << k
+		}
+		for _, v := range x[e : e+w] {
+			mx, ux, sx, nanx, infx := decompose(math.Float64bits(v))
+			zx := (((mx | (0 - mx)) >> 63) ^ 1) &^ (nanx | infx)
+			// Row x_j's NaN products: all if x_j is NaN, y's NaNs, y's
+			// zeros if x_j is Inf, y's Infs if x_j is zero. Its Inf
+			// products: x_j's or y's Infs minus those, signed x_j ⊕ y_k.
+			// ORing rows is exactly ORing addProd's per-product flags.
+			nanRow := (0 - nanx) | ynan | (0-infx)&yzero | (0-zx)&yinf
+			infRow := ((0-infx)&wmask | yinf) &^ nanRow
+			sgnRow := (0 - sx) ^ ysgn
+			nanAcc |= nanRow
+			pinfAcc |= infRow &^ sgnRow
+			ninfAcc |= infRow & sgnRow
+			for _, c := range yc[:w] {
+				hi, lo := bits.Mul64(mx, c.m)
+				q := ux + c.u // product ulp position above 2^binExp, as in addProd
+				s := q & 31
+				plo := lo << s
+				pmid := hi<<s | lo>>(64-s) // s == 0 shifts by 64: defined, yields 0
+				phi := hi >> (64 - s)
+				sgn := int64(1) - int64((sx^c.s)<<1)
+				b := (*[5]int64)(a.bins[q>>5:])
+				b[0] += sgn * int64(plo&chunkMask)
+				b[1] += sgn * int64(plo>>chunkBits)
+				b[2] += sgn * int64(pmid&chunkMask)
+				b[3] += sgn * int64(pmid>>chunkBits)
+				b[4] += sgn * int64(phi)
 			}
 		}
-		a.bump(w * w)
 	}
+	a.nan |= (nanAcc | (0 - nanAcc)) >> 63
+	a.pinf |= (pinfAcc | (0 - pinfAcc)) >> 63
+	a.ninf |= (ninfAcc | (0 - ninfAcc)) >> 63
 }
 
 // Merge folds b's accumulated state into a, bit-exactly: folding down

@@ -9,10 +9,13 @@ package exact_test
 // every oracle partial sum here is exact, not merely well-rounded.
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"multifloats/internal/exact"
 	"multifloats/internal/mpfloat"
@@ -462,14 +465,14 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 }
 
 // TestIncrementalVsBulk pins that Add, AddProduct, AddValues, and
-// AddDotSlab are different schedules over the same deposits.
+// AddDotSlab are different schedules over the same deposits. At widths
+// 2–4 AddDotSlab decomposes each component once per element and folds
+// the special-value flags a row at a time, so at every width and for
+// 0–64 elements of special-heavy operands it must leave the state w²
+// AddProduct calls per element leave.
 func TestIncrementalVsBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
 	xs := corpora(rng, 200)["mixed"]
-	ys := make([]float64, len(xs))
-	for i := range ys {
-		ys[i] = genTerm(rng, -300, 300)
-	}
 	var bulk, inc exact.Accumulator
 	bulk.AddValues(xs)
 	for _, x := range xs {
@@ -477,12 +480,169 @@ func TestIncrementalVsBulk(t *testing.T) {
 	}
 	checkBits(t, "AddValues vs Add", inc.Sum(), bulk.Sum())
 
-	var dslab, dinc exact.Accumulator
-	dslab.AddDotSlab(1, xs, ys)
-	for i := range xs {
-		dinc.AddProduct(xs[i], ys[i])
+	for w := 1; w <= 4; w++ {
+		for n := 0; n <= 64; n++ {
+			for trial := 0; trial < 4; trial++ {
+				x, y := specialSlabs(rng, w, n)
+				checkDotSlab(t, w, x, y)
+			}
+		}
 	}
-	checkBits(t, "AddDotSlab vs AddProduct", dinc.Sum(), dslab.Sum())
+}
+
+// checkDotSlab folds x·y through AddDotSlab and through w² AddProduct
+// calls per element, and requires the same encoded state, the same
+// width-w fold and the same accumulator.
+func checkDotSlab(t testing.TB, w int, x, y []float64) {
+	t.Helper()
+	var slab, prod exact.Accumulator
+	slab.AddDotSlab(w, x, y)
+	for e := 0; e < len(x); e += w {
+		for j := 0; j < w; j++ {
+			for k := 0; k < w; k++ {
+				prod.AddProduct(x[e+j], y[e+k])
+			}
+		}
+	}
+	ge, we := slab.EncodeFloats(), prod.EncodeFloats()
+	for i := range we {
+		if !bitsEq(ge[i], we[i]) {
+			t.Fatalf("w=%d x=%x y=%x: encoded word %d = %#x, want %#x",
+				w, x, y, i, math.Float64bits(ge[i]), math.Float64bits(we[i]))
+		}
+	}
+	gs, ws := slab.SumExpansion(w), prod.SumExpansion(w)
+	for i := range ws {
+		if !bitsEq(gs[i], ws[i]) {
+			t.Fatalf("w=%d x=%x y=%x: SumExpansion = %x, want %x", w, x, y, gs, ws)
+		}
+	}
+	if slab != prod {
+		t.Fatalf("w=%d x=%x y=%x: accumulator state differs from the per-product fold", w, x, y)
+	}
+}
+
+// specialSlabs returns two slabs of n width-w elements, special-heavy
+// at a rate drawn per call: ±0, ±Inf, NaN (left out of half the slabs,
+// so the Inf flags are not always masked by a NaN), subnormals,
+// ±MaxFloat64 and random bit patterns, plus planted Inf·0 pairs.
+func specialSlabs(rng *rand.Rand, w, n int) (x, y []float64) {
+	rate := [...]int{0, 2, 8, 64}[rng.Intn(4)] // one in rate is special; 0: none
+	noNaN := rng.Intn(2) == 0
+	term := func() float64 {
+		if rate == 0 || rng.Intn(rate) != 0 {
+			return genTerm(rng, -1074, 1023)
+		}
+		return specialTerm(rng, noNaN)
+	}
+	x, y = make([]float64, n*w), make([]float64, n*w)
+	for i := range x {
+		x[i], y[i] = term(), term()
+	}
+	if n > 0 && rate != 0 {
+		for p := rng.Intn(3); p > 0; p-- {
+			e := rng.Intn(n) * w
+			x[e+rng.Intn(w)] = math.Inf(1 - 2*rng.Intn(2))
+			y[e+rng.Intn(w)] = math.Copysign(0, float64(1-2*rng.Intn(2)))
+		}
+	}
+	return x, y
+}
+
+// specialTerm draws one of the classes specialSlabs mixes in.
+func specialTerm(rng *rand.Rand, noNaN bool) float64 {
+	sign := float64(1 - 2*rng.Intn(2))
+	switch rng.Intn(6) {
+	case 0:
+		return math.Copysign(0, sign)
+	case 1:
+		return math.Inf(int(sign))
+	case 2:
+		if noNaN {
+			return math.Inf(int(sign))
+		}
+		return math.NaN()
+	case 3:
+		return math.Copysign(math.Float64frombits(rng.Uint64()&(1<<52-1)), sign)
+	case 4:
+		return sign * math.MaxFloat64
+	}
+	v := math.Float64frombits(rng.Uint64())
+	if noNaN && math.IsNaN(v) {
+		v = math.Inf(int(sign))
+	}
+	return v
+}
+
+// TestDotSlabRenormSchedule starts folds just short of the renorm
+// budget: AddDotSlab's blocks must renorm after the same element as
+// the per-element definition, so the two leave identical state.
+func TestDotSlabRenormSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(710))
+	for w := 1; w <= 4; w++ {
+		for _, left := range []int{1, w*w - 1, w * w, w*w + 1, 3*w*w - 2, 5 * w * w} {
+			if left < 1 {
+				continue
+			}
+			x, y := specialSlabs(rng, w, 8)
+			var slab, def exact.Accumulator
+			slab.AddValues(x[:w])
+			slab.SetPending(exact.RenormEvery - left)
+			def = slab
+			slab.AddDotSlab(w, x, y)
+			def.AddDotSlabPerElement(w, x, y)
+			if slab != def {
+				t.Errorf("w=%d, %d deposits left: state differs from the per-element fold", w, left)
+			}
+		}
+	}
+}
+
+// TestAddDotSlabBadShapes: a width outside 1..4, slabs of different
+// lengths or a trailing partial element panic with AddDotSlab's own
+// message. Each shape runs in its own goroutine, so a fold that never
+// returns (w = 0 once stepped its loop by zero) fails instead of
+// hanging the suite.
+func TestAddDotSlabBadShapes(t *testing.T) {
+	s := func(n int) []float64 { return make([]float64, n) }
+	cases := []struct {
+		name string
+		w    int
+		x, y []float64
+	}{
+		{"w=0", 0, s(4), s(4)},
+		{"w=0/empty", 0, nil, nil},
+		{"w=-1", -1, s(4), s(4)},
+		{"w=5", 5, s(10), s(10)},
+		{"y-shorter", 2, s(8), s(6)},
+		{"y-longer", 2, s(6), s(8)},
+		{"partial-element", 3, s(7), s(7)},
+	}
+	for _, c := range cases {
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			var a exact.Accumulator
+			a.AddDotSlab(c.w, c.x, c.y)
+		}()
+		select {
+		case r := <-got:
+			if msg, _ := r.(string); !strings.HasPrefix(msg, "exact.AddDotSlab: ") {
+				t.Errorf("%s: recovered %v, want AddDotSlab's shape panic", c.name, r)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s: AddDotSlab neither returned nor panicked within 1s", c.name)
+		}
+	}
+}
+
+// TestAddDotSlabAllocs: the per-element scratch stays on the stack.
+func TestAddDotSlabAllocs(t *testing.T) {
+	x, y := specialSlabs(rand.New(rand.NewSource(711)), 4, 64)
+	var a exact.Accumulator
+	if n := testing.AllocsPerRun(100, func() { a.AddDotSlab(4, x, y) }); n != 0 {
+		t.Errorf("AddDotSlab(4, …) allocates %v times per call, want 0", n)
+	}
 }
 
 // TestRenormCarries hammers one bin with same-exponent maximal
@@ -557,5 +717,33 @@ func FuzzSumVsOracle(f *testing.F) {
 		if !bitsEq(gd, wd) {
 			t.Fatalf("Dot = %#016x, want %#016x", math.Float64bits(gd), math.Float64bits(wd))
 		}
+	})
+}
+
+// FuzzDotSlab checks AddDotSlab against w² AddProduct calls per
+// element (checkDotSlab) on raw operand bits: the width is 1 + w%4 and
+// raw splits into an x and a y slab of whole elements.
+func FuzzDotSlab(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	seed := func(w byte, vals ...float64) {
+		raw := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+		}
+		f.Add(w, raw)
+	}
+	seed(0, 1.5, -3)
+	seed(1, inf, 1, 0, -inf)
+	seed(2, 1, 0x1p-60, -0.0, 5e-324, math.MaxFloat64, -inf, 2, 0x1p-1022, nan, 3, -0.0, inf)
+	seed(3, -inf, 0, 1, -1, 0, 0, 0, 0, 1, 2, 3, 4, inf, 0, -0.0, 0)
+	f.Fuzz(func(t *testing.T, w byte, raw []byte) {
+		width := 1 + int(w%4)
+		n := len(raw) / 16 / width * width
+		x, y := make([]float64, n), make([]float64, n)
+		for i := range x {
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			y[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*(n+i):]))
+		}
+		checkDotSlab(t, width, x, y)
 	})
 }

@@ -6,7 +6,11 @@
 
 package exact
 
-import "multifloats/mf"
+import (
+	"unsafe"
+
+	"multifloats/mf"
+)
 
 // Sum returns the correctly rounded sum of xs.
 func Sum(xs []float64) float64 {
@@ -69,19 +73,6 @@ func Sum4(xs []mf.Float64x4) mf.Float64x4 {
 	return r
 }
 
-// dotElem folds the w² exact component cross products of one element
-// pair.
-//
-//mf:hotpath
-func (a *Accumulator) dotElem(x, y []float64) {
-	for j := range x {
-		for k := range y {
-			a.addProd(x[j], y[k])
-		}
-	}
-	a.bump(len(x) * len(y))
-}
-
 // Dot2 returns the dot product of the expansion vectors x and y,
 // rounded to the canonical width-2 expansion of the exact result.
 // x and y must have equal length.
@@ -89,13 +80,7 @@ func Dot2(x, y []mf.Float64x2) mf.Float64x2 {
 	if len(x) != len(y) {
 		panic("exact.Dot2: operand lengths differ")
 	}
-	var a Accumulator
-	for i := range x {
-		a.dotElem(x[i][:], y[i][:])
-	}
-	var r mf.Float64x2
-	copy(r[:], a.SumExpansion(2))
-	return r
+	return mf.Float64x2(dotExpansion(2, flat(x), flat(y)))
 }
 
 // Dot3 is Dot2 at width 3.
@@ -103,13 +88,7 @@ func Dot3(x, y []mf.Float64x3) mf.Float64x3 {
 	if len(x) != len(y) {
 		panic("exact.Dot3: operand lengths differ")
 	}
-	var a Accumulator
-	for i := range x {
-		a.dotElem(x[i][:], y[i][:])
-	}
-	var r mf.Float64x3
-	copy(r[:], a.SumExpansion(3))
-	return r
+	return mf.Float64x3(dotExpansion(3, flat(x), flat(y)))
 }
 
 // Dot4 is Dot2 at width 4.
@@ -117,11 +96,23 @@ func Dot4(x, y []mf.Float64x4) mf.Float64x4 {
 	if len(x) != len(y) {
 		panic("exact.Dot4: operand lengths differ")
 	}
+	return mf.Float64x4(dotExpansion(4, flat(x), flat(y)))
+}
+
+// dotExpansion folds two width-w component slabs through AddDotSlab and
+// rounds to the canonical width-w expansion.
+func dotExpansion(w int, x, y []float64) []float64 {
 	var a Accumulator
-	for i := range x {
-		a.dotElem(x[i][:], y[i][:])
+	a.AddDotSlab(w, x, y)
+	return a.SumExpansion(w)
+}
+
+// flat views v as its flat component slab without copying:
+// mf.Float64x{2,3,4} are [w]float64 arrays, so expansion i's components
+// are the slab's [i*w, (i+1)*w) in memory. The view is only read.
+func flat[E mf.Float64x2 | mf.Float64x3 | mf.Float64x4](v []E) []float64 {
+	if len(v) == 0 {
+		return nil
 	}
-	var r mf.Float64x4
-	copy(r[:], a.SumExpansion(4))
-	return r
+	return unsafe.Slice((*float64)(unsafe.Pointer(&v[0])), len(v)*int(unsafe.Sizeof(v[0]))/8)
 }
