@@ -6,8 +6,9 @@
 //	fpantool diagram [-n add2]     # print a network in the paper's notation (Figs. 2–7)
 //	fpantool verify [-n add3] [-cases N] [-strict]
 //	                               # adversarial verification (paper §3 substitute)
-//	fpantool search [-n 2] [-iters N] [-seed S]
-//	                               # simulated-annealing FPAN discovery (paper §4.1)
+//	fpantool search [-n 2] [-op add|mul] [-iters N] [-seed S] [-maxgates G] [-commutative=BOOL]
+//	                               # simulated-annealing FPAN discovery (paper §4.1); prints
+//	                               # the winner's diagram and its gate list as Go
 //	fpantool enumerate [-cases N]  # 2-term optimality evidence (E-Opt2)
 //	fpantool fig1                  # expansion decomposition illustration (Fig. 1)
 package main
@@ -101,6 +102,7 @@ func main() {
 		}
 		fmt.Printf("\nbest verified network: %s\n", res.Best)
 		fmt.Println(fpan.Diagram(res.Best))
+		printLiteral(res.Best)
 	case "enumerate":
 		fs := flag.NewFlagSet("enumerate", flag.ExitOnError)
 		cases := fs.Int("cases", 20000, "verification cases per candidate")
@@ -111,6 +113,20 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// printLiteral prints the network's size, depth, outputs and gates as
+// the fields of a Go fpan.Network literal, ready to paste into
+// internal/fpan/discovered.go.
+func printLiteral(net *fpan.Network) {
+	kinds := map[fpan.GateKind]string{fpan.Add: "Add", fpan.Sum: "Sum", fpan.FastSum: "FastSum"}
+	fmt.Printf("// size %d, depth %d\n", net.Size(), net.Depth())
+	fmt.Printf("Outputs: %#v,\n", net.Outputs)
+	fmt.Println("Gates: []Gate{")
+	for _, g := range net.Gates {
+		fmt.Printf("\t{%s, %d, %d},\n", kinds[g.Kind], g.A, g.B)
+	}
+	fmt.Println("},")
 }
 
 func fig1() {

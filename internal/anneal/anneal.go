@@ -150,13 +150,95 @@ type Result struct {
 	Tried    int
 }
 
+// search is one annealing run: the seeded move RNG, the quick
+// (acceptance) and deep (confirmation) cases, and the three things in
+// which SearchAdd and SearchMul differ.
+type search struct {
+	cfg         Config
+	rng         *rand.Rand
+	quick, deep []Case
+	buf         []float64 // wire scratch; its length is the wire count
+	nfix        int       // leading gates (an imposed prefix) no move touches
+	mixAdd      bool      // random gates are ⊕ one time in three, else TwoSum
+	commutative bool      // acceptance also requires Commutes
+}
+
+// gate draws a random gate on two distinct wires.
+func (s *search) gate() fpan.Gate {
+	wires := len(s.buf)
+	a := s.rng.Intn(wires)
+	b := s.rng.Intn(wires)
+	for b == a {
+		b = s.rng.Intn(wires)
+	}
+	kind := fpan.Sum
+	if s.mixAdd && s.rng.Intn(3) == 0 {
+		kind = fpan.Add
+	}
+	return fpan.Gate{Kind: kind, A: a, B: b}
+}
+
+// passes reports whether net passes cases and, when the search requires
+// it, commutes on them.
+func (s *search) passes(net *fpan.Network, cases []Case) bool {
+	return CheckFast(net, cases, s.buf) &&
+		(!s.commutative || Commutes(net, cases, s.buf))
+}
+
+// anneal runs the annealing phase from the verified start point cur.
+// Each move removes a gate or inserts a random one, leaving the first
+// nfix gates alone; the removal probability rises over the run, pushing
+// the network toward smaller sizes while verification gates acceptance.
+// An accepted candidate that is smaller (or as small and shallower) than
+// the best so far replaces it if it also passes the deep cases, and the
+// best is reported only if it passes them again at the end.
+func (s *search) anneal(cur *fpan.Network, w io.Writer) *Result {
+	res := &Result{}
+	best := cur.Clone()
+	for it := 0; it < s.cfg.Iters; it++ {
+		res.Tried++
+		pRemove := 0.3 + 0.5*float64(it)/float64(s.cfg.Iters)
+		cand := cur.Clone()
+		if s.rng.Float64() < pRemove && len(cand.Gates) > max(s.nfix, 1) {
+			i := s.nfix + s.rng.Intn(len(cand.Gates)-s.nfix)
+			cand.Gates = append(cand.Gates[:i], cand.Gates[i+1:]...)
+		} else {
+			i := s.nfix + s.rng.Intn(len(cand.Gates)-s.nfix+1)
+			g := s.gate()
+			cand.Gates = append(cand.Gates[:i],
+				append([]fpan.Gate{g}, cand.Gates[i:]...)...)
+		}
+		if len(cand.Gates) > s.cfg.MaxGates || !s.passes(cand, s.quick) {
+			continue
+		}
+		res.Accepted++
+		cur = cand
+		better := len(cur.Gates) < len(best.Gates) ||
+			(len(cur.Gates) == len(best.Gates) && cur.Depth() < best.Depth())
+		if better && CheckFast(cur, s.deep, s.buf) {
+			best = cur.Clone()
+			if w != nil {
+				fmt.Fprintf(w, "iter %5d: new best size %d depth %d\n",
+					it, best.Size(), best.Depth())
+			}
+		}
+	}
+	if s.passes(best, s.deep) {
+		res.Best = best
+	}
+	return res
+}
+
 // SearchAdd runs the paper's simulated-annealing procedure for an n-term
 // addition network. Progress lines go to w (may be nil).
 func SearchAdd(n int, cfg Config, w io.Writer) *Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	quick := MakeCases(n, cfg.QuickCases, cfg.Seed+100)
-	deep := MakeCases(n, cfg.DeepCases, cfg.Seed+200)
-	buf := make([]float64, 2*n)
+	s := &search{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		quick: MakeCases(n, cfg.QuickCases, cfg.Seed+100),
+		deep:  MakeCases(n, cfg.DeepCases, cfg.Seed+200),
+		buf:   make([]float64, 2*n),
+	}
 
 	blank := func() *fpan.Network {
 		net := &fpan.Network{
@@ -178,66 +260,17 @@ func SearchAdd(n int, cfg Config, w io.Writer) *Result {
 		return net
 	}
 
-	randGate := func() fpan.Gate {
-		a := rng.Intn(2 * n)
-		b := rng.Intn(2 * n)
-		for b == a {
-			b = rng.Intn(2 * n)
-		}
-		return fpan.Gate{Kind: fpan.Sum, A: a, B: b}
-	}
-
-	res := &Result{}
+	// Grow until the network first passes quick verification.
 	cur := blank()
-	// Phase 1: grow until the network first passes quick verification.
-	for len(cur.Gates) < cfg.MaxGates && !CheckFast(cur, quick, buf) {
-		cur.Gates = append(cur.Gates, randGate())
+	for len(cur.Gates) < cfg.MaxGates && !s.passes(cur, s.quick) {
+		cur.Gates = append(cur.Gates, s.gate())
 	}
-	if !CheckFast(cur, quick, buf) {
+	if !s.passes(cur, s.quick) {
 		// Seed from the known-good regular family instead of failing.
 		cur = fpan.BuildAddSort(n, "UU")
 		cur.ErrorBoundBits = blank().ErrorBoundBits
 	}
-	best := cur.Clone()
-
-	// Phase 2: anneal. Removal probability rises over time, pushing the
-	// network toward smaller sizes while verification gates acceptance.
-	for it := 0; it < cfg.Iters; it++ {
-		res.Tried++
-		pRemove := 0.3 + 0.5*float64(it)/float64(cfg.Iters)
-		cand := cur.Clone()
-		if rng.Float64() < pRemove && len(cand.Gates) > 1 {
-			i := rng.Intn(len(cand.Gates))
-			cand.Gates = append(cand.Gates[:i], cand.Gates[i+1:]...)
-		} else {
-			i := rng.Intn(len(cand.Gates) + 1)
-			g := randGate()
-			cand.Gates = append(cand.Gates[:i],
-				append([]fpan.Gate{g}, cand.Gates[i:]...)...)
-		}
-		if len(cand.Gates) > cfg.MaxGates {
-			continue
-		}
-		if !CheckFast(cand, quick, buf) {
-			continue
-		}
-		res.Accepted++
-		cur = cand
-		better := len(cur.Gates) < len(best.Gates) ||
-			(len(cur.Gates) == len(best.Gates) && cur.Depth() < best.Depth())
-		if better && CheckFast(cur, deep, buf) {
-			best = cur.Clone()
-			if w != nil {
-				fmt.Fprintf(w, "iter %5d: new best size %d depth %d\n",
-					it, best.Size(), best.Depth())
-			}
-		}
-	}
-	// Final deep validation of the reported network.
-	if CheckFast(best, deep, buf) {
-		res.Best = best
-	}
-	return res
+	return s.anneal(cur, w)
 }
 
 // Enumerate2 enumerates small 2-term addition networks and reports how

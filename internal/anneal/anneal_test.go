@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"multifloats/internal/fpan"
@@ -110,5 +111,42 @@ func TestSearchMulFindsNetwork(t *testing.T) {
 	buf := make([]float64, 4)
 	if !CheckFast(res.Best, cases, buf) {
 		t.Errorf("mul2 search result fails independent verification")
+	}
+}
+
+// The fixed-seed searches documented in internal/fpan/discovered.go must
+// find the networks recorded there, gate for gate. This pins the RNG draw
+// order of the annealing loop: any change to it changes these results.
+func TestSearchReproducesDiscovered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full-length searches skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		name            string
+		want            *fpan.Network
+		iters, maxGates int
+		mul, comm       bool
+	}{
+		{"add3", fpan.Add3Discovered(), 25000, 30, false, false},
+		{"mul3-nc", fpan.Mul3DiscoveredNC(), 20000, 20, true, false},
+		{"mul3-c", fpan.Mul3DiscoveredC(), 25000, 20, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig()
+			cfg.Iters, cfg.MaxGates, cfg.RequireCommutative = tc.iters, tc.maxGates, tc.comm
+			run := SearchAdd
+			if tc.mul {
+				run = SearchMul
+			}
+			best := run(3, cfg, io.Discard).Best
+			if best == nil {
+				t.Fatal("search found no verified network")
+			}
+			if !reflect.DeepEqual(best.Gates, tc.want.Gates) || !reflect.DeepEqual(best.Outputs, tc.want.Outputs) {
+				t.Errorf("search found %v -> %v, discovered.go records %v -> %v",
+					best.Gates, best.Outputs, tc.want.Gates, tc.want.Outputs)
+			}
+		})
 	}
 }

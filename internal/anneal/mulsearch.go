@@ -111,17 +111,22 @@ func Commutes(net *fpan.Network, cases []Case, w []float64) bool {
 // fpantool), candidates must also produce bit-identical results under
 // operand swap, reproducing the constraint the paper imposes in §4.2.
 func SearchMul(n int, cfg Config, w io.Writer) *Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	quick := MakeMulCases(n, cfg.QuickCases, cfg.Seed+100)
-	deep := MakeMulCases(n, cfg.DeepCases, cfg.Seed+200)
-	wires := n * n
-	buf := make([]float64, wires)
 	prefix := commutativePrefix(n)
+	s := &search{
+		cfg:         cfg,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		quick:       MakeMulCases(n, cfg.QuickCases, cfg.Seed+100),
+		deep:        MakeMulCases(n, cfg.DeepCases, cfg.Seed+200),
+		buf:         make([]float64, n*n),
+		nfix:        len(prefix),
+		mixAdd:      true,
+		commutative: cfg.RequireCommutative,
+	}
 
 	blank := func() *fpan.Network {
 		net := &fpan.Network{
 			Name:     fmt.Sprintf("search-mul%d", n),
-			NumWires: wires,
+			NumWires: n * n,
 		}
 		ref := fpan.ByName(fmt.Sprintf("mul%d", n))
 		net.InputLabels = append([]string(nil), ref.InputLabels...)
@@ -134,38 +139,20 @@ func SearchMul(n int, cfg Config, w io.Writer) *Result {
 		return net
 	}
 
-	randGate := func() fpan.Gate {
-		a := rng.Intn(wires)
-		b := rng.Intn(wires)
-		for b == a {
-			b = rng.Intn(wires)
-		}
-		kind := fpan.Sum
-		if rng.Intn(3) == 0 {
-			kind = fpan.Add
-		}
-		return fpan.Gate{Kind: kind, A: a, B: b}
-	}
-
-	res := &Result{}
-	// Phase 1: random growth with restarts until a verified starting
-	// point appears (the paper grows "until it passed the automatic
-	// verification procedure").
-	accept := func(cand *fpan.Network) bool {
-		return CheckFast(cand, quick, buf) &&
-			(!cfg.RequireCommutative || Commutes(cand, quick, buf))
-	}
+	// Random growth with restarts until a verified starting point appears
+	// (the paper grows "until it passed the automatic verification
+	// procedure").
 	var cur *fpan.Network
 	for attempt := 0; attempt < 500 && cur == nil; attempt++ {
 		cand := blank()
 		for len(cand.Gates) < cfg.MaxGates {
-			if accept(cand) {
+			if s.passes(cand, s.quick) {
 				cur = cand
 				break
 			}
-			cand.Gates = append(cand.Gates, randGate())
+			cand.Gates = append(cand.Gates, s.gate())
 		}
-		if cur == nil && accept(cand) {
+		if cur == nil && s.passes(cand, s.quick) {
 			cur = cand
 		}
 	}
@@ -179,54 +166,13 @@ func SearchMul(n int, cfg Config, w io.Writer) *Result {
 			seeded.Gates = append([]fpan.Gate(nil), prod.Gates...)
 			seeded.Outputs = append([]int(nil), prod.Outputs...)
 			seeded.OutputLabels = append([]string(nil), prod.OutputLabels...)
-			if CheckFast(seeded, quick, buf) {
+			if CheckFast(seeded, s.quick, s.buf) {
 				cur = seeded
 			}
 		}
 	}
 	if cur == nil {
-		return res // no verified starting point within the gate budget
+		return &Result{} // no verified starting point within the gate budget
 	}
-	best := cur.Clone()
-
-	for it := 0; it < cfg.Iters; it++ {
-		res.Tried++
-		pRemove := 0.3 + 0.5*float64(it)/float64(cfg.Iters)
-		cand := cur.Clone()
-		nfix := len(prefix)
-		if rng.Float64() < pRemove && len(cand.Gates) > nfix {
-			i := nfix + rng.Intn(len(cand.Gates)-nfix)
-			cand.Gates = append(cand.Gates[:i], cand.Gates[i+1:]...)
-		} else {
-			i := nfix + rng.Intn(len(cand.Gates)-nfix+1)
-			g := randGate()
-			cand.Gates = append(cand.Gates[:i],
-				append([]fpan.Gate{g}, cand.Gates[i:]...)...)
-		}
-		if len(cand.Gates) > cfg.MaxGates {
-			continue
-		}
-		if !CheckFast(cand, quick, buf) {
-			continue
-		}
-		if cfg.RequireCommutative && !Commutes(cand, quick, buf) {
-			continue
-		}
-		res.Accepted++
-		cur = cand
-		better := len(cur.Gates) < len(best.Gates) ||
-			(len(cur.Gates) == len(best.Gates) && cur.Depth() < best.Depth())
-		if better && CheckFast(cur, deep, buf) {
-			best = cur.Clone()
-			if w != nil {
-				fmt.Fprintf(w, "iter %5d: new best size %d depth %d\n",
-					it, best.Size(), best.Depth())
-			}
-		}
-	}
-	if CheckFast(best, deep, buf) &&
-		(!cfg.RequireCommutative || Commutes(best, deep, buf)) {
-		res.Best = best
-	}
-	return res
+	return s.anneal(cur, w)
 }

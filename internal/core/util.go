@@ -93,7 +93,8 @@ func signOf[T eft.Float](terms ...T) int {
 // closed weak nonoverlap invariant: |x_{i+1}| ≤ 2·ulp(x_i). Branch-free
 // renormalization chains can exceed the ulp boundary by one rounding in
 // rare tie cases, so the invariant that is preserved with wide margin is
-// the 2·ulp band (see DESIGN.md and internal/fpan.NonOverlap).
+// the 2·ulp band (see DESIGN.md; internal/verify checks network outputs
+// against the same band).
 func NonOverlapping(terms ...float64) bool {
 	prev := 0.0
 	for _, t := range terms {

@@ -1,7 +1,10 @@
 package fpan
 
 // Networks discovered by this repository's simulated-annealing search
-// (internal/anneal; reproduce with the seeds given per network). They are
+// (internal/anneal). Each note gives the `fpantool search` command that
+// finds the network; the command prints the winner's gate list as a Go
+// literal, and internal/anneal's TestSearchReproducesDiscovered reruns the
+// add3 and both mul3 searches and compares gate for gate. They are
 // recorded for the E-Search experiment and deep-verified in
 // internal/verify/discovered_test.go, but are not used in production —
 // see the per-network notes. The production networks remain the ones in

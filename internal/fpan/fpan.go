@@ -21,7 +21,8 @@ type GateKind uint8
 
 const (
 	// Add replaces wire A with RN(A+B) and discards the rounding error.
-	// Wire B keeps its value but is considered consumed by convention.
+	// Wire B is consumed: every interpreter sets it to 0, and a network
+	// that reads it again has no Program form (see FromNetwork).
 	Add GateKind = iota
 	// Sum applies TwoSum: wire A receives the rounded sum, wire B the
 	// exact rounding error.

@@ -452,8 +452,10 @@ func DiffNetworks(got, ref *Network) string {
 // FromNetwork converts a Network into an equivalent Program (each wire an
 // input parameter, each gate one instruction), so network candidates from
 // the annealing search run through the same exhaustive verifier as lifted
-// kernels.
-func FromNetwork(n *Network) *Program {
+// kernels. It fails on a network that reads a wire an Add gate consumed
+// (wire B of the Add), by a later gate or as an output: the float
+// interpreters read that wire as 0, but no Program register holds it.
+func FromNetwork(n *Network) (*Program, error) {
 	p := &Program{
 		Name:       n.Name,
 		NumParams:  n.NumWires,
@@ -464,7 +466,12 @@ func FromNetwork(n *Network) *Program {
 	for i := range cur {
 		cur[i] = i
 	}
-	for _, g := range n.Gates {
+	for i, g := range n.Gates {
+		for _, w := range [2]int{g.A, g.B} {
+			if cur[w] < 0 {
+				return nil, fmt.Errorf("fpan %q: gate %d reads wire %d, consumed by an earlier Add", n.Name, i, w)
+			}
+		}
 		in := Inst{A: Operand{Reg: cur[g.A]}, B: Operand{Reg: cur[g.B]}, Dst: [2]int{-1, -1}}
 		switch g.Kind {
 		case Sum:
@@ -487,7 +494,10 @@ func FromNetwork(n *Network) *Program {
 		p.Insts = append(p.Insts, in)
 	}
 	for _, w := range n.Outputs {
+		if cur[w] < 0 {
+			return nil, fmt.Errorf("fpan %q: output wire %d was consumed by an Add", n.Name, w)
+		}
 		p.Outputs = append(p.Outputs, cur[w])
 	}
-	return p
+	return p, nil
 }

@@ -1,6 +1,9 @@
 package fpan
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // handAdd2 builds core.Add2's program by hand with a given parameter
 // order: regs x0,x1,y0,y1 or any permutation perm mapping logical
@@ -82,15 +85,51 @@ func TestGateNetworkMatchesCanonicalAdd2(t *testing.T) {
 		t.Fatalf("lifted add2 differs from canonical: %s", d)
 	}
 	// Round trip: canonical network -> program -> network.
-	rt, err := FromNetwork(Add2()).GateNetwork()
+	fp, err := FromNetwork(Add2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := fp.GateNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := DiffNetworks(rt, Add2()); d != "" {
 		t.Fatalf("FromNetwork round trip drifted: %s", d)
 	}
-	if FromNetwork(Add2()).Hash() != p.Hash() {
+	if fp.Hash() != p.Hash() {
 		t.Fatal("FromNetwork(add2) and hand-lifted add2 disagree")
+	}
+}
+
+// A network that reads wire B of an earlier Add, by a gate or as an
+// output, has no Program form: FromNetwork must refuse it rather than emit
+// a read of register -1.
+func TestFromNetworkRejectsConsumedWire(t *testing.T) {
+	for _, tc := range []struct {
+		gates   []Gate
+		outputs []int
+		want    string
+	}{
+		{[]Gate{{Add, 0, 1}, {Sum, 1, 2}}, []int{0, 2}, "gate 1 reads wire 1"},
+		{[]Gate{{Add, 0, 1}, {Sum, 0, 2}}, []int{0, 1}, "output wire 1"},
+	} {
+		net := &Network{
+			Name:         "consumed",
+			NumWires:     3,
+			InputLabels:  []string{"a", "b", "c"},
+			OutputLabels: make([]string, len(tc.outputs)),
+			Outputs:      tc.outputs,
+			Gates:        tc.gates,
+		}
+		if err := net.Validate(); err != nil {
+			t.Fatalf("%v: %v", tc.gates, err)
+		}
+		p, err := FromNetwork(net)
+		if err == nil {
+			t.Errorf("%v -> %v: accepted as %v -> %v", tc.gates, tc.outputs, p.Insts, p.Outputs)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v -> %v: error %q does not name %q", tc.gates, tc.outputs, err, tc.want)
+		}
 	}
 }
 

@@ -18,11 +18,7 @@
 // window, matching the paper's no-overflow/no-underflow model (§2.1).
 package softfloat
 
-import (
-	"math/bits"
-
-	"multifloats/internal/fpan"
-)
+import "math/bits"
 
 // RNE rounds the exact value v to the nearest p-bit floating-point value,
 // ties to even.
@@ -90,40 +86,6 @@ func FastTwoSum(a, b int64, p uint) (s, e int64) {
 	yEff := RNE(s-a, p)
 	e = RNE(b-yEff, p)
 	return s, e
-}
-
-// Run executes an FPAN in the exact small-p model, returning the outputs
-// and the exact total discarded error (Σin - Σout).
-func Run(net *fpan.Network, in []int64, p uint) (out []int64, discarded int64) {
-	w := make([]int64, len(in))
-	copy(w, in)
-	var sumIn int64
-	for _, v := range in {
-		sumIn += v
-	}
-	for _, g := range net.Gates {
-		a, b := w[g.A], w[g.B]
-		switch g.Kind {
-		case fpan.Add:
-			w[g.A] = RNE(a+b, p)
-			w[g.B] = 0
-		case fpan.Sum:
-			w[g.A], w[g.B] = TwoSum(a, b, p)
-		case fpan.FastSum:
-			w[g.A], w[g.B] = FastTwoSum(a, b, p)
-		}
-	}
-	out = make([]int64, len(net.Outputs))
-	var sumOut int64
-	for i, idx := range net.Outputs {
-		out[i] = w[idx]
-	}
-	// Discarded = everything not on an output wire plus Add-gate losses;
-	// both are captured by comparing exact input and output sums.
-	for _, v := range out {
-		sumOut += v
-	}
-	return out, sumIn - sumOut
 }
 
 // CheckOutputs verifies the paper's two correctness conditions in the

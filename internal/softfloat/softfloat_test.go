@@ -86,6 +86,30 @@ func randP(rng *rand.Rand, p uint, maxExp int) int64 {
 	return v
 }
 
+// runner compiles net to its Program form and returns an executor of it
+// in the exact small-p model. Each call returns the outputs (valid until
+// the next call) and the exact discarded error Σin − Σout.
+func runner(t *testing.T, net *fpan.Network, p uint) func(in []int64) (out []int64, discarded int64) {
+	t.Helper()
+	prog, err := fpan.FromNetwork(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := make([]int64, prog.NumRegs)
+	var out []int64
+	return func(in []int64) ([]int64, int64) {
+		out = RunProgram(prog, in, p, regs, out[:0])
+		var d int64
+		for _, v := range in {
+			d += v
+		}
+		for _, v := range out {
+			d -= v
+		}
+		return out, d
+	}
+}
+
 // enumAdd2 enumerates strictly nonoverlapping 2-term input pairs (the
 // paper's Eq. 8 invariant, the setting of its own verification) for the
 // given precision and calls f for each input vector (x0,y0,x1,y1).
@@ -157,11 +181,11 @@ func TestExhaustiveAdd2(t *testing.T) {
 	if !testing.Short() {
 		ps = append(ps, 4)
 	}
-	net := fpan.Add2()
 	for _, p := range ps {
 		q := fpan.BoundAdd2.Bits(int(p))
+		run := runner(t, fpan.Add2(), p)
 		total, bad := enumAdd2(p, func(in []int64) bool {
-			out, disc := Run(net, in, p)
+			out, disc := run(in)
 			return CheckOutputs(out, disc, in[0]+in[1]+in[2]+in[3], q, p)
 		})
 		t.Logf("p=%d: %d cases exhaustively checked against bound 2^-%d", p, total, q)
@@ -176,10 +200,10 @@ func TestExhaustiveAdd2(t *testing.T) {
 // optimality argument.
 func TestExhaustiveAdd2SmallRejected(t *testing.T) {
 	const p = 3
-	net := fpan.Add2Small()
 	q := fpan.BoundAdd2.Bits(p)
+	run := runner(t, fpan.Add2Small(), p)
 	_, bad := enumAdd2(p, func(in []int64) bool {
-		out, disc := Run(net, in, p)
+		out, disc := run(in)
 		return CheckOutputs(out, disc, in[0]+in[1]+in[2]+in[3], q, p)
 	})
 	if bad == 0 {
@@ -254,6 +278,7 @@ func TestSampledAddNetworks(t *testing.T) {
 	} {
 		for _, p := range []uint{4, 5} {
 			q := tc.b.Bits(int(p))
+			run := runner(t, tc.net, p)
 			rng := rand.New(rand.NewSource(int64(p) * 77))
 			S := uint(4*int(p) + 20)
 			bad := 0
@@ -277,7 +302,7 @@ func TestSampledAddNetworks(t *testing.T) {
 					in[2*j+1] = y[j]
 					sum += x[j] + y[j]
 				}
-				out, disc := Run(tc.net, in, p)
+				out, disc := run(in)
 				// 4·ulp band: see CheckOutputsBand on small-p constants.
 				if !CheckOutputsBand(out, disc, sum, q, p, 4) {
 					bad++
@@ -304,7 +329,7 @@ func TestSampledAddNetworks(t *testing.T) {
 // sampled).
 func TestExhaustiveMul2(t *testing.T) {
 	const p = 3
-	net := fpan.Mul2()
+	run := runner(t, fpan.Mul2(), p)
 	q := fpan.PaperBoundMul[2].Bits(p)
 	gapX := int(p) + 4
 	S := uint(2*int(p) + gapX + 4)
@@ -353,7 +378,7 @@ func TestExhaustiveMul2(t *testing.T) {
 							c01 := RNE(x0*y1, p)
 							c10 := RNE(x1*y0, p)
 							in[0], in[1], in[2], in[3] = p00, e00, c01, c10
-							out, _ := Run(net, in, p)
+							out, _ := run(in)
 							// Exact product of the full expansions.
 							exact := (x0 + x1) * (y0 + y1)
 							var sumOut int64

@@ -60,22 +60,10 @@ var goldenAdd = []struct {
 func TestGoldenCorpusAdd(t *testing.T) {
 	nets := map[int]*fpan.Network{2: fpan.Add2(), 3: fpan.Add3(), 4: fpan.Add4()}
 	for _, g := range goldenAdd {
-		net := nets[g.n]
-		res := fpan.CheckCase(net, g.in)
-		exactZero := fpan.ExactSum(g.in).Sign() == 0
-		if exactZero {
-			for _, z := range res.Outputs {
-				if z != 0 {
-					t.Errorf("%s: nonzero output on exact zero sum: %v", g.name, res.Outputs)
-				}
-			}
-			continue
-		}
-		if !res.BoundOK {
-			t.Errorf("%s: bound violated (2^-%.1f < 2^-%d)", g.name, res.ErrBits, net.ErrorBoundBits)
-		}
-		if !res.WeakNonOverlap {
-			t.Errorf("%s: weak nonoverlap violated: %v", g.name, res.Outputs)
+		rep := newReport(g.name)
+		rep.check(nets[g.n], g.in, exactSum(g.in))
+		if rep.Failed() {
+			t.Errorf("%v", rep)
 		}
 	}
 }
@@ -109,9 +97,10 @@ func TestGoldenCorpusMul(t *testing.T) {
 		// Repair any accidental overlap in the handwritten operands.
 		x := gen.renorm(append([]float64(nil), g.x...))
 		y := gen.renorm(append([]float64(nil), g.y...))
-		rep := verifyMulOne(newReport(g.name), net, g.n, x, y)
+		rep := newReport(g.name)
+		rep.check(net, fpan.MulInputs(g.n, x, y), exactProduct(x, y))
 		if rep.Failed() {
-			t.Errorf("%s: %v", g.name, rep)
+			t.Errorf("%v", rep)
 		}
 	}
 }

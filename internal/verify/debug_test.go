@@ -46,26 +46,9 @@ func TestDebugWorstCase(t *testing.T) {
 		t.Logf("  in[%d] = %.17g  (exp %d)", i, v, exp(v))
 	}
 	// Re-run gate by gate, printing wires.
-	w := make([]float64, len(in))
-	copy(w, in)
+	w := append([]float64(nil), in...)
 	for gi, g := range net.Gates {
-		a, b := w[g.A], w[g.B]
-		sub := &fpan.Network{Name: "step", NumWires: net.NumWires, Gates: []fpan.Gate{g},
-			InputLabels: net.InputLabels, OutputLabels: nil, Outputs: nil}
-		_ = sub
-		switch g.Kind {
-		case fpan.Add:
-			w[g.A] = a + b
-			w[g.B] = 0
-		case fpan.Sum:
-			s := a + b
-			w[g.A] = s
-			w[g.B] = (a - (s - b)) + (b - (s - (s - b)))
-		case fpan.FastSum:
-			s := a + b
-			w[g.A] = s
-			w[g.B] = b - (s - a)
-		}
+		fpan.RunInPlace(&fpan.Network{Gates: []fpan.Gate{g}}, w)
 		t.Logf("gate %2d %s(%d,%d): wires %v", gi, g.Kind, g.A, g.B, compact(w))
 	}
 }

@@ -34,7 +34,10 @@ func TestExhaustiveCanonicalAdds(t *testing.T) {
 			if spec == nil {
 				t.Fatalf("no spec %q", tc.spec)
 			}
-			prog := fpan.FromNetwork(tc.net)
+			prog, err := fpan.FromNetwork(tc.net)
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := Exhaustive(prog, spec, &ExhaustiveOptions{Perm: addPerm(spec.Groups[0].Terms)})
 			if err != nil {
 				t.Fatal(err)
@@ -53,7 +56,10 @@ func TestExhaustiveCanonicalAdds(t *testing.T) {
 // must produce a counterexample, proving the driver can fail.
 func TestExhaustiveRejectsAdd2Small(t *testing.T) {
 	spec := fpan.SpecByName("add2")
-	prog := fpan.FromNetwork(fpan.Add2Small())
+	prog, err := fpan.FromNetwork(fpan.Add2Small())
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Exhaustive(prog, spec, &ExhaustiveOptions{Perm: addPerm(2)})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +77,10 @@ func TestExhaustiveRejectsAdd2Small(t *testing.T) {
 // checkpoint must be refused.
 func TestExhaustiveCheckpoint(t *testing.T) {
 	spec := fpan.SpecByName("add2")
-	prog := fpan.FromNetwork(fpan.Add2())
+	prog, err := fpan.FromNetwork(fpan.Add2())
+	if err != nil {
+		t.Fatal(err)
+	}
 	perm := addPerm(2)
 
 	full, err := Exhaustive(prog, spec, &ExhaustiveOptions{Perm: perm})

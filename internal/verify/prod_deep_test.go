@@ -7,8 +7,9 @@ import (
 )
 
 // TestProdDeep runs the production networks through a deep multi-seed
-// adversarial sweep under the library's weak nonoverlap input invariant.
-// Guarded by -short.
+// adversarial sweep under the library's weak nonoverlap input invariant
+// and fails on any bound, zero or weak-nonoverlap failure. Guarded by
+// -short.
 func TestProdDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep sweep skipped in -short mode")
@@ -44,5 +45,8 @@ func TestProdDeep(t *testing.T) {
 		}
 		t.Logf("%-6s size %2d depth %2d: worst 2^-%.2f (claimed 2^-%d), bound/zero fails %d, weak-NO fails %d",
 			c.net.Name, c.net.Size(), c.net.Depth(), worst, c.net.ErrorBoundBits, fails, weak)
+		if fails != 0 || weak != 0 {
+			t.Errorf("%s: %d bound/zero and %d weak-NO failures; a production network must have none", c.net.Name, fails, weak)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 
+	"multifloats/internal/eft"
 	"multifloats/internal/fpan"
 )
 
@@ -25,9 +26,6 @@ type Report struct {
 	StrictNOFailures int
 	UlpNOFailures    int
 	WeakNOFailures   int
-	// PrecondHarm counts cases where a FastTwoSum precondition violation
-	// actually lost a nonzero amount.
-	PrecondHarm int
 
 	// WorstErrBits is the smallest observed -log2(relative error): the
 	// empirical error-bound exponent. +Inf when every case was exact.
@@ -49,42 +47,59 @@ func (r *Report) String() string {
 		worst = fmt.Sprintf("2^-%.1f", r.WorstErrBits)
 	}
 	return fmt.Sprintf(
-		"%s: %d cases, worst rel err %s, bound fails %d, zero fails %d, strict-NO fails %d, ulp-NO fails %d, weak-NO fails %d, fastsum harm %d",
+		"%s: %d cases, worst rel err %s, bound fails %d, zero fails %d, strict-NO fails %d, ulp-NO fails %d, weak-NO fails %d",
 		r.Network, r.Cases, worst, r.BoundFailures, r.ZeroFailures,
-		r.StrictNOFailures, r.UlpNOFailures, r.WeakNOFailures, r.PrecondHarm)
+		r.StrictNOFailures, r.UlpNOFailures, r.WeakNOFailures)
 }
 
 func newReport(name string) *Report {
 	return &Report{Network: name, WorstErrBits: math.Inf(1)}
 }
 
-// record folds one case's CheckResult into the report.
-func (r *Report) record(res fpan.CheckResult, in []float64, exactZero bool) {
+// check runs net on one input vector and folds the paper's two
+// correctness conditions (§3) into the report: the deviation of Σout from
+// the exact reference result (Σin for addition, x·y for multiplication)
+// against the network's 2^-q bound, and the nonoverlap of the outputs.
+func (r *Report) check(net *fpan.Network, in []float64, exact *big.Float) {
+	out := fpan.Run(net, in)
 	r.Cases++
-	if exactZero {
-		for _, z := range res.Outputs {
+	diff := new(big.Float).SetPrec(2048).Sub(exact, exactSum(out))
+	errBits := math.Inf(1)
+	switch {
+	case exact.Sign() == 0:
+		// The bound 2^-q·|exact| = 0 demands exactness: any nonzero
+		// output is a failure, and a nonzero deviation is unbounded.
+		if diff.Sign() != 0 {
+			errBits = math.Inf(-1)
+		}
+		for _, z := range out {
 			if z != 0 {
 				r.ZeroFailures++
 				break
 			}
 		}
-	} else if !res.BoundOK {
-		r.BoundFailures++
+	case diff.Sign() != 0:
+		rel := new(big.Float).SetPrec(2048).Quo(
+			new(big.Float).Abs(diff),
+			new(big.Float).SetPrec(2048).Abs(exact))
+		f, _ := rel.Float64()
+		errBits = -math.Log2(f)
+		if errBits < float64(net.ErrorBoundBits) {
+			r.BoundFailures++
+		}
 	}
-	if !res.StrictNonOverlap {
+	strict, ulp, weak := nonOverlap(out)
+	if !strict {
 		r.StrictNOFailures++
 	}
-	if !res.UlpNonOverlap {
+	if !ulp {
 		r.UlpNOFailures++
 	}
-	if !res.WeakNonOverlap {
+	if !weak {
 		r.WeakNOFailures++
 	}
-	if res.PreconditionHarm {
-		r.PrecondHarm++
-	}
-	if res.ErrBits < r.WorstErrBits {
-		r.WorstErrBits = res.ErrBits
+	if errBits < r.WorstErrBits {
+		r.WorstErrBits = errBits
 		r.WorstInputs = append([]float64(nil), in...)
 	}
 }
@@ -98,15 +113,10 @@ func VerifyAdd(net *fpan.Network, nTerms, cases int, seed int64) *Report {
 // VerifyAddWith is VerifyAdd with a caller-configured generator (e.g. one
 // restricted to the paper's strict nonoverlap invariant).
 func VerifyAddWith(gen *ExpansionGen, net *fpan.Network, nTerms, cases int) *Report {
-	rep := newReport(net.Name)
-	for i := 0; i < cases; i++ {
-		x, y := gen.Pair(nTerms)
+	return verifyPairs(gen, net, nTerms, cases, func(x, y []float64) ([]float64, *big.Float) {
 		in := Interleave(x, y)
-		res := fpan.CheckCase(net, in)
-		exactZero := fpan.ExactSum(in).Sign() == 0
-		rep.record(res, in, exactZero)
-	}
-	return rep
+		return in, exactSum(in)
+	})
 }
 
 // VerifyMul runs `cases` adversarial cases through an n-term multiplication
@@ -124,55 +134,70 @@ func VerifyMul(net *fpan.Network, nTerms, cases int, seed int64) *Report {
 
 // VerifyMulWith is VerifyMul with a caller-configured generator.
 func VerifyMulWith(gen *ExpansionGen, net *fpan.Network, nTerms, cases int) *Report {
+	return verifyPairs(gen, net, nTerms, cases, func(x, y []float64) ([]float64, *big.Float) {
+		return fpan.MulInputs(nTerms, x, y), exactProduct(x, y)
+	})
+}
+
+// verifyPairs checks net on `cases` operand pairs drawn from gen; build
+// turns each pair into the FPAN input vector and the exact reference.
+func verifyPairs(gen *ExpansionGen, net *fpan.Network, nTerms, cases int,
+	build func(x, y []float64) ([]float64, *big.Float)) *Report {
 	rep := newReport(net.Name)
 	for i := 0; i < cases; i++ {
-		x, y := gen.Pair(nTerms)
-		verifyMulOne(rep, net, nTerms, x, y)
+		in, exact := build(gen.Pair(nTerms))
+		rep.check(net, in, exact)
 	}
 	return rep
 }
 
-// verifyMulOne evaluates one (x, y) operand pair against the network's
-// bound and nonoverlap conditions, folding the outcome into rep.
-func verifyMulOne(rep *Report, net *fpan.Network, nTerms int, x, y []float64) *Report {
-	in := fpan.MulInputs(nTerms, x, y)
-	tr := fpan.RunTraced(net, in)
-
-	exact := exactProduct(x, y)
-	outSum := fpan.ExactSum(tr.Outputs)
-	diff := new(big.Float).SetPrec(2048).Sub(exact, outSum)
-
-	res := fpan.CheckResult{Outputs: tr.Outputs}
-	res.StrictNonOverlap, res.UlpNonOverlap, res.WeakNonOverlap = fpan.NonOverlap(tr.Outputs)
-	for _, lost := range tr.FastSumLost {
-		if lost != 0 {
-			res.PreconditionHarm = true
-			break
+// exactSum returns the exact sum of xs as a big.Float with generous
+// precision.
+func exactSum(xs []float64) *big.Float {
+	acc := new(big.Float).SetPrec(2048)
+	tmp := new(big.Float).SetPrec(2048)
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
 		}
+		acc.Add(acc, tmp.SetFloat64(x))
 	}
-	exactZero := exact.Sign() == 0
-	switch {
-	case diff.Sign() == 0:
-		res.ErrBits = math.Inf(1)
-		res.BoundOK = true
-	case exactZero:
-		res.ErrBits = math.Inf(-1)
-		res.BoundOK = false
-	default:
-		rel := new(big.Float).SetPrec(2048).Quo(
-			new(big.Float).Abs(diff),
-			new(big.Float).SetPrec(2048).Abs(exact))
-		f, _ := rel.Float64()
-		res.ErrBits = -math.Log2(f)
-		res.BoundOK = res.ErrBits >= float64(net.ErrorBoundBits)
-	}
-	rep.record(res, in, exactZero)
-	return rep
+	return acc
 }
 
 // exactProduct returns (Σx)·(Σy) exactly.
 func exactProduct(x, y []float64) *big.Float {
-	bx := fpan.ExactSum(x)
-	by := fpan.ExactSum(y)
+	bx := exactSum(x)
+	by := exactSum(y)
 	return new(big.Float).SetPrec(4096).Mul(bx, by)
+}
+
+// nonOverlap reports whether the expansion z satisfies the strict
+// (|z_{i+1}| ≤ ulp(z_i)/2, paper Eq. 8), ulp (|z_{i+1}| ≤ ulp(z_i),
+// CAMPARY), and weak (|z_{i+1}| ≤ 2·ulp(z_i), this library's closed
+// invariant) nonoverlapping conditions. Interior zero terms are skipped:
+// each nonzero term is compared against the previous nonzero term
+// (Shewchuk's convention for expansions with zeros).
+func nonOverlap(z []float64) (strict, ulp, weak bool) {
+	strict, ulp, weak = true, true, true
+	prev := 0.0
+	for _, lo := range z {
+		if lo == 0 {
+			continue
+		}
+		if prev != 0 {
+			u := eft.Ulp64(prev)
+			if math.Abs(lo) > 2*u {
+				weak = false
+			}
+			if math.Abs(lo) > u {
+				ulp = false
+			}
+			if math.Abs(lo) > u/2 {
+				strict = false
+			}
+		}
+		prev = lo
+	}
+	return strict, ulp, weak
 }
