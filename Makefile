@@ -15,11 +15,17 @@ check: build crossbuild lint gensync prove-smoke test race ledger-check
 build:
 	$(GO) build ./...
 
-# crossbuild type-checks and vets the serve stack for s390x, a big-endian
-# target: serve/wire selects its copying codec path there at build time
-# (endian_big.go), and this keeps that build compiling. Works offline.
+# crossbuild builds for two targets the amd64 tests cannot see. Works
+# offline.
+#   - s390x, big-endian: vets the serve stack, since serve/wire selects
+#     its copying codec path there at build time (endian_big.go).
+#   - arm64, a target that fuses x*y + z across statements: fusescan
+#     compiles the kernel packages with -S and fails on any fused
+#     multiply-add whose source line neither calls an FMA nor carries
+#     //mf:allow fpcontract (DESIGN.md "Machine-checked contracts").
 crossbuild:
 	GOARCH=s390x $(GO) vet ./serve/...
+	$(GO) run ./internal/analysis/fusescan
 
 vet:
 	$(GO) vet ./...
@@ -82,7 +88,7 @@ gensync:
 # structurally check it against its spec's reference network, and demand
 # a valid committed proof in PROOFS.json for every (spec, network hash)
 # obligation — a silently reordered gate changes the hash and fails here
-# with the lifter's gate-level diff, at lint cost. Runs in make check.
+# with the lifter's instruction-level diff, at lint cost. Runs in make check.
 prove-smoke:
 	$(GO) run ./cmd/mfprove
 

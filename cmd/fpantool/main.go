@@ -83,6 +83,13 @@ func main() {
 		maxGates := fs.Int("maxgates", 0, "gate budget (0 = default)")
 		comm := fs.Bool("commutative", true, "require commutativity for mul networks (§4.2)")
 		fs.Parse(args)
+		commSet := false
+		fs.Visit(func(f *flag.Flag) { commSet = commSet || f.Name == "commutative" })
+		if err := checkSearchFlags(*op, *n, commSet); err != nil {
+			fmt.Fprintln(os.Stderr, "fpantool search:", err)
+			fs.PrintDefaults()
+			os.Exit(2)
+		}
 		cfg := anneal.DefaultConfig()
 		cfg.Iters = *iters
 		cfg.Seed = *seed
@@ -156,6 +163,21 @@ func pow2(k int) float64 {
 		out /= 2
 	}
 	return out
+}
+
+// checkSearchFlags rejects the search flag combinations the annealer
+// cannot run: an -op other than add or mul, -n outside 2..4, and
+// -commutative given for an add search, which has no such gate.
+func checkSearchFlags(op string, n int, commSet bool) error {
+	switch {
+	case op != "add" && op != "mul":
+		return fmt.Errorf("-op %q: want add or mul", op)
+	case n < 2 || n > 4:
+		return fmt.Errorf("-n %d: want 2, 3 or 4", n)
+	case commSet && op == "add":
+		return fmt.Errorf("-commutative applies only to -op mul")
+	}
+	return nil
 }
 
 func usage() {

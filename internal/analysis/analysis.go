@@ -32,6 +32,20 @@ import (
 	"sort"
 )
 
+// KernelPkgs are the import-path suffixes (relative to the module path)
+// of the packages whose numerics depend on "each written operation
+// rounds exactly once": cmd/mflint scopes fpcontract and exactconst to
+// them, and internal/analysis/fusescan scans their arm64 machine code.
+var KernelPkgs = []string{
+	"internal/eft",
+	"internal/core",
+	"internal/blas",
+	"internal/fpan",
+	"internal/qd",
+	"internal/campary",
+	"mf",
+}
+
 // Analyzer describes one static check. Name doubles as the key used by
 // //mf:allow suppressions and by cmd/mflint's per-package scoping table.
 type Analyzer struct {

@@ -9,10 +9,11 @@
 // stray branch, a gate result that fans out to two consumers
 // (re-associated operands), or a temporary that is overwritten before
 // any gate reads it. A lifted instance must then hash-match its spec's
-// reference kernel (and, where the spec names one, gate-diff cleanly
-// against the paper's canonical network), so every flattened copy in the
-// generated GEMM/GEMV/lane kernels is machine-checked against the one
-// program cmd/mfprove verifies exhaustively.
+// reference kernel (and, where the spec names one, diff cleanly against
+// the canonical program fpan.KernelProgram builds from the paper's
+// network), so every flattened copy in the generated GEMM/GEMV/lane
+// kernels is machine-checked against the one program cmd/mfprove
+// verifies exhaustively.
 //
 // Three lifting modes, selected by the annotation:
 //
@@ -168,7 +169,7 @@ func liftFiles(ld *analysis.Loader, files []*ast.File, info *types.Info, cache r
 			}
 			if isRef {
 				if d := canonDiff(prog, spec); d != "" {
-					report(fd.Pos(), "%s is spec %s's reference kernel but differs from the canonical %s network: %s", key, spec.Name, spec.Canon, d)
+					report(fd.Pos(), "%s is spec %s's reference kernel but differs from the canonical %s program: %s", key, spec.Name, spec.Canon, d)
 					continue
 				}
 			} else {
@@ -261,21 +262,17 @@ func liftRef(ld *analysis.Loader, spec *fpan.Spec) (*fpan.Program, error) {
 	return nil, fmt.Errorf("no declaration %s in %s", key, path)
 }
 
-// canonDiff gate-diffs prog against the spec's canonical paper network,
-// when the spec names one.
+// canonDiff diffs prog against the canonical program of the kernel the
+// spec names, built from the production networks alone.
 func canonDiff(prog *fpan.Program, spec *fpan.Spec) string {
 	if spec.Canon == "" {
 		return ""
 	}
-	ref := fpan.ByName(spec.Canon)
+	ref := fpan.KernelProgram(spec.Canon)
 	if ref == nil {
-		return fmt.Sprintf("spec names unknown canonical network %q", spec.Canon)
+		return fmt.Sprintf("spec names unknown canonical kernel %q", spec.Canon)
 	}
-	net, err := prog.GateNetwork()
-	if err != nil {
-		return fmt.Sprintf("no gate skeleton: %v", err)
-	}
-	return firstLine(fpan.DiffNetworks(net, ref))
+	return prog.Diff(ref)
 }
 
 func firstLine(s string) string {

@@ -1,12 +1,14 @@
 package fpanlift_test
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"multifloats/internal/analysis"
 	"multifloats/internal/analysis/analysistest"
 	"multifloats/internal/analysis/fpanlift"
+	"multifloats/internal/fpan"
 )
 
 // TestFixtures runs the analyzer over the rejection fixture: every
@@ -74,5 +76,44 @@ func TestLiftModule(t *testing.T) {
 	}
 	if len(lifted) < 100 {
 		t.Errorf("only %d lifted kernels; the generated files alone contribute >150", len(lifted))
+	}
+}
+
+// TestRefsMatchKernelPrograms diffs every add/mul/mulacc reference
+// kernel in internal/core against the program fpan.KernelProgram builds
+// from the production networks. Only the add and mul specs name a
+// Canon, so this is the one direct check of the mulacc programs that
+// genmicro emits the GEMM/GEMV blocks from.
+func TestRefsMatchKernelPrograms(t *testing.T) {
+	ld, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := ld.LoadDir(ld.ModulePath()+"/internal/core", filepath.Join(ld.Root(), "internal", "core"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifted, diags := fpanlift.LiftPackage(ld, pkg)
+	for _, d := range diags {
+		t.Errorf("unexpected finding: %s: %s", ld.Fset.Position(d.Pos), d.Message)
+	}
+	refs := make(map[string]*fpan.Program)
+	for _, l := range lifted {
+		if l.IsRef {
+			refs[l.Spec.Name] = l.Prog
+		}
+	}
+	for _, op := range []string{"add", "mul", "mulacc"} {
+		for n := 2; n <= 4; n++ {
+			name := op + string(rune('0'+n))
+			ref, want := refs[name], fpan.KernelProgram(name)
+			if ref == nil || want == nil {
+				t.Errorf("%s: lifted reference %v, KernelProgram %v", name, ref != nil, want != nil)
+				continue
+			}
+			if d := ref.Diff(want); d != "" {
+				t.Errorf("%s: core reference differs from KernelProgram: %s", name, d)
+			}
+		}
 	}
 }

@@ -7,12 +7,12 @@ package main
 // per-component planes (SoA) lets one kernel run laneWidth independent
 // gate networks per loop step as straight-line FP code — the same ILP
 // argument as the GEMM micro-kernels, applied to elementwise batches.
-// Each lane body is a verbatim gate-for-gate transcription of the
-// internal/core kernel for its op (add/sub/mul are flattened inline;
-// div and sqrt call the annotated core networks, whose Newton iterations
-// are too large to flatten profitably and already dominate any call
-// cost), so a slab run through a lane kernel is bit-identical to a
-// scalar core.* loop. The equivalence is pinned by
+// The add/sub/mul lane bodies are emitted inline from the add and mul
+// programs of fpan.KernelProgram, which mfprove checks against the
+// internal/core kernels; div and sqrt call the annotated core networks,
+// whose Newton iterations are too large to flatten profitably and
+// already dominate any call cost. So a slab run through a lane kernel is
+// bit-identical to a scalar core.* loop. The equivalence is pinned by
 // TestLaneKernelsMatchCore and fuzzed by internal/diffuzz.
 //
 // Special values: IEEE leaves exactly one result property to the
@@ -35,13 +35,14 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"strings"
 )
 
 // laneWidth is the unroll factor of the emitted kernels: enough
 // independent FPAN chains per loop step to cover the TwoSum latency
 // chain, small enough that the ~3·width live temporaries per lane stay
-// out of heavy spill. The L1/L2/L8 mul variants emitted for the E-SoA
-// ablation justify the choice empirically (EXPERIMENTS.md).
+// out of heavy spill. EXPERIMENTS.md §E-SoA measured 1, 2, 4 and 8; to
+// rerun that sweep, set laneWidth and regenerate.
 const laneWidth = 4
 
 // laneOps lists the emitted elementwise ops in wire-dispatch order
@@ -64,96 +65,27 @@ func opTitle(op string) string {
 	panic("bad op")
 }
 
-// mulRenorm returns the renormalization chain of core.MulN over the
-// expansion-step wires produced by mulBody, defining z0v…z{n-1}v.
-// Verbatim gate-for-gate transcription of core/mul.go (the fused GEMM
-// path skips this chain; the standalone product needs it).
-func mulRenorm(n int, w []string) string {
-	switch n {
-	case 2:
-		return fmt.Sprintf("z0v, z1v := eft.FastTwoSum(%s, %s)\n", w[0], w[1])
-	case 3:
-		return fmt.Sprintf(`u0, v1 := eft.FastTwoSum(%s, %s)
-z1a, w2 := eft.TwoSum(v1, %s)
-z0v, c1 := eft.FastTwoSum(u0, z1a)
-z1v, z2v := eft.TwoSum(c1, w2)
-`, w[0], w[1], w[2])
-	case 4:
-		return fmt.Sprintf(`u0, g1 := eft.FastTwoSum(%s, %s)
-x2v, y3v := eft.TwoSum(g1, %s)
-r2v, s3v := eft.TwoSum(y3v, %s)
-z0v, c1 := eft.FastTwoSum(u0, x2v)
-z1v, c2 := eft.TwoSum(c1, r2v)
-z2v, z3v := eft.TwoSum(c2, s3v)
-`, w[0], w[1], w[2], w[3])
-	}
-	panic("bad width")
-}
-
-// laneBlock emits one lane: z[idx] = op(x[idx], y[idx]) as a block-scoped
-// flattened gate network (add/sub/mul) or a call to the core Newton
-// network (div/sqrt). Block scope lets the canonical temp names repeat
-// across the unrolled lanes.
+// laneBlock emits one lane: z[idx] = op(x[idx], y[idx]) as a block
+// running the op's kernel program (add/sub/mul) or a call to the core
+// Newton network (div/sqrt).
 func laneBlock(b *bytes.Buffer, c cfg, op, idx string) {
 	n := c.n
+	x, y, z := comps(n, "xs%d["+idx+"]"), comps(n, "ys%d["+idx+"]"), comps(n, "zs%d["+idx+"]")
 	switch op {
-	case "add", "sub":
-		// Sub negates y at load, exactly core.SubN = AddN(x, -y).
-		neg := ""
+	case "add", "sub", "mul":
+		p := kernel(op, n)
 		if op == "sub" {
-			neg = "-"
+			// Sub negates y at load, exactly core.SubN = AddN(x, -y).
+			p = kernel("add", n)
+			y = comps(n, "-ys%d["+idx+"]")
 		}
-		fmt.Fprintf(b, "{\n")
-		acc := make([]string, n)
-		zw := make([]string, n)
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(b, "a%d := xs%d[%s]\n", i, i, idx)
-			acc[i] = fmt.Sprintf("a%d", i)
-		}
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(b, "b%d := %sys%d[%s]\n", i, neg, i, idx)
-			zw[i] = fmt.Sprintf("b%d", i)
-		}
-		b.WriteString(addBody(n, acc, zw))
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(b, "zs%d[%s] = a%d\n", i, idx, i)
-		}
-		fmt.Fprintf(b, "}\n")
-	case "mul":
-		fmt.Fprintf(b, "{\n")
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(b, "x%d := xs%d[%s]\n", i, i, idx)
-		}
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(b, "y%d := ys%d[%s]\n", i, i, idx)
-		}
-		code, wires := mulBody(c)
-		b.WriteString(code)
-		b.WriteString(mulRenorm(n, wires))
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(b, "zs%d[%s] = z%dv\n", i, idx, i)
-		}
-		fmt.Fprintf(b, "}\n")
+		block(b, c, p, append(x, y...), z)
 	case "div", "sqrt":
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				fmt.Fprintf(b, ", ")
-			}
-			fmt.Fprintf(b, "zs%d[%s]", i, idx)
-		}
-		fmt.Fprintf(b, " = core.%s%d(", opTitle(op), n)
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				fmt.Fprintf(b, ", ")
-			}
-			fmt.Fprintf(b, "xs%d[%s]", i, idx)
-		}
+		args := x
 		if op == "div" {
-			for i := 0; i < n; i++ {
-				fmt.Fprintf(b, ", ys%d[%s]", i, idx)
-			}
+			args = append(x, y...)
 		}
-		fmt.Fprintf(b, ")\n")
+		fmt.Fprintf(b, "%s = core.%s%d(%s)\n", strings.Join(z, ", "), opTitle(op), n, strings.Join(args, ", "))
 	default:
 		panic("bad op")
 	}
@@ -182,44 +114,38 @@ func laneAnnots(c cfg, op string) string {
 	return "//mf:branchfree\n//mf:hotpath"
 }
 
-func laneDoc(c cfg, op string, lanes int, name string) string {
-	var what string
+func laneDoc(c cfg, op string, name string) string {
+	what := fmt.Sprintf("%d core.%s%d Newton networks per unrolled step", laneWidth, opTitle(op), c.n)
+	exact := fmt.Sprintf(`results are
+// bit-identical to a scalar core.%s%d loop`, opTitle(op), c.n)
+	unary := ""
 	switch op {
 	case "add", "sub", "mul":
 		what = fmt.Sprintf("%d independent flattened core.%s%d gate networks per unrolled step",
-			lanes, opTitle(op), c.n)
-		if lanes == 1 {
-			what = fmt.Sprintf("one flattened core.%s%d gate network per step (no unroll)", opTitle(op), c.n)
-		}
-	default:
-		what = fmt.Sprintf("%d core.%s%d Newton networks per unrolled step", lanes, opTitle(op), c.n)
-	}
-	unary := ""
-	if op == "sqrt" {
-		unary = " (y is ignored)"
-	}
-	exact := fmt.Sprintf(`results are
-// bit-identical to a scalar core.%s%d loop`, opTitle(op), c.n)
-	switch op {
-	case "add", "sub", "mul":
+			laneWidth, opTitle(op), c.n)
 		exact = fmt.Sprintf(`results are
 // bit-identical to a scalar core.%s%d loop wherever the outputs are
 // finite (lane%s%dd patches the non-finite elements; see the package
 // comment on NaN payload order)`, opTitle(op), c.n, opTitle(op), c.n)
+	case "sqrt":
+		unary = " (y is ignored)"
 	}
 	return fmt.Sprintf(`// %s computes z = %s(x, y) elementwise over width-%d SoA slabs for
 // elements [lo, hi)%s: %s,
-// scalar tail. Gate order is verbatim internal/core, so %s.`,
+// scalar tail. The gates are internal/core's, so %s.`,
 		name, op, c.n, unary, what, exact)
 }
 
-// laneKernelFn emits one SoA lane kernel. nameSfx distinguishes the
-// ablation unroll variants (L1/L2/L8) from the production laneWidth one.
-func laneKernelFn(b *bytes.Buffer, c cfg, op string, lanes int, nameSfx string) {
+// laneKernelFn emits one SoA lane kernel; the flattened add/sub/mul
+// kernels take the Flat suffix, for laneFixFn to wrap.
+func laneKernelFn(b *bytes.Buffer, c cfg, op string) {
 	n := c.n
-	name := fmt.Sprintf("lane%s%d%s%s", opTitle(op), n, c.sfx, nameSfx)
+	name := fmt.Sprintf("lane%s%d%s", opTitle(op), n, c.sfx)
+	if op == "add" || op == "sub" || op == "mul" {
+		name += "Flat"
+	}
 	fmt.Fprintf(b, "\n%s\n//\n%s\nfunc %s(x, y, z *SoA, lo, hi int) {\n",
-		laneDoc(c, op, lanes, name), laneAnnots(c, op), name)
+		laneDoc(c, op, name), laneAnnots(c, op), name)
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(b, "xs%d := x[%d][lo:hi]\n", i, i)
 	}
@@ -231,19 +157,15 @@ func laneKernelFn(b *bytes.Buffer, c cfg, op string, lanes int, nameSfx string) 
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(b, "zs%d := z[%d][lo:hi]\n", i, i)
 	}
-	fmt.Fprintf(b, "n := hi - lo\ni := 0\n")
-	if lanes > 1 {
-		fmt.Fprintf(b, "for ; i+%d <= n; i += %d {\n", lanes, lanes)
-		for l := 0; l < lanes; l++ {
-			idx := "i"
-			if l > 0 {
-				idx = fmt.Sprintf("i+%d", l)
-			}
-			laneBlock(b, c, op, idx)
+	fmt.Fprintf(b, "n := hi - lo\ni := 0\nfor ; i+%d <= n; i += %d {\n", laneWidth, laneWidth)
+	for l := 0; l < laneWidth; l++ {
+		idx := "i"
+		if l > 0 {
+			idx = fmt.Sprintf("i+%d", l)
 		}
-		fmt.Fprintf(b, "}\n")
+		laneBlock(b, c, op, idx)
 	}
-	fmt.Fprintf(b, "for ; i < n; i++ {\n")
+	fmt.Fprintf(b, "}\nfor ; i < n; i++ {\n")
 	laneBlock(b, c, op, "i")
 	fmt.Fprintf(b, "}\n}\n")
 }
@@ -324,7 +246,7 @@ import (
 
 // LaneWidth is the unroll factor of the generated SoA lane kernels: each
 // unrolled step runs LaneWidth independent gate networks (EXPERIMENTS.md
-// §E-SoA sweeps the alternatives via the L1/L2/L8 mul variants below).
+// §E-SoA sweeps the alternatives by regenerating at other widths).
 const LaneWidth = %d
 `, laneWidth))
 	for _, n := range []int{2, 3, 4} {
@@ -332,21 +254,13 @@ const LaneWidth = %d
 		for _, op := range laneOps {
 			switch op {
 			case "add", "sub", "mul":
-				laneKernelFn(&b, c, op, laneWidth, "Flat")
+				laneKernelFn(&b, c, op)
 				laneFixFn(&b, c, op)
 			default:
 				// div/sqrt call the core networks per lane, so they share
 				// the in-process compiled code already — no patch needed.
-				laneKernelFn(&b, c, op, laneWidth, "")
+				laneKernelFn(&b, c, op)
 			}
-		}
-	}
-	// Unroll-sweep variants of the multiply kernels, emitted for the
-	// E-SoA lane-count ablation (benchmarks only; not in the table).
-	for _, n := range []int{2, 3, 4} {
-		c := configs(n)[0]
-		for _, l := range []int{1, 2, 8} {
-			laneKernelFn(&b, c, "mul", l, fmt.Sprintf("L%d", l))
 		}
 	}
 	b.WriteString(`

@@ -1,5 +1,6 @@
 // Command genmicro generates the flattened GEMM micro-kernels and GEMV
-// row-tile kernels in internal/blas/micro_generated.go.
+// row-tile kernels in internal/blas/micro_generated.go, and the SoA lane
+// kernels in internal/blas/lanes_generated.go.
 //
 // Why generated code: the expansion mul/add kernels in internal/core are
 // too large for Go's inliner (each is a network of TwoSum/TwoProd gates,
@@ -22,11 +23,12 @@
 // generic front door that selects on unsafe.Sizeof — a constant per
 // instantiation, so the dispatch folds away.
 //
-// The emitted gate sequences are verbatim transcriptions of the fused
-// multiply–accumulate kernels core.MulAcc{2,3,4} (TwoProd expanded to
-// its defining two lines); TestMicroMatchesCoreGates pins them
-// bit-for-bit against reference tile kernels that call internal/core
-// directly.
+// Every gate sequence is emitted from fpan.KernelProgram, the program
+// that internal/fpan builds from the production networks alone and that
+// cmd/mfprove checks each internal/core reference kernel against; block
+// spells one such program as Go. TestMicroMatchesCoreGates and
+// TestLaneKernelsMatchCore pin the emitted kernels bit for bit against
+// internal/core.
 //
 // Regenerate with: go generate ./internal/blas
 package main
@@ -36,182 +38,116 @@ import (
 	"flag"
 	"fmt"
 	"go/format"
+	"go/token"
 	"log"
 	"os"
+	"strings"
+
+	"multifloats/internal/fpan"
 )
 
 // cfg is one concrete emission target: expansion width × base type.
 type cfg struct {
-	n   int                         // expansion terms
-	typ string                      // float64 | float32
-	sfx string                      // function suffix: d | s
-	fma func(x, y, p string) string // spelling of FMA(x, y, -p)
-}
-
-func fma64(x, y, p string) string {
-	return fmt.Sprintf("math.FMA(%s, %s, -%s)", x, y, p)
-}
-
-func fma32(x, y, p string) string {
-	return fmt.Sprintf("eft.FMA32(%s, %s, -%s)", x, y, p)
+	n   int    // expansion terms
+	typ string // float64 | float32
+	sfx string // function suffix: d | s
+	fma string // the FMA spelled for typ
 }
 
 func configs(n int) [2]cfg {
 	return [2]cfg{
-		{n: n, typ: "float64", sfx: "d", fma: fma64},
-		{n: n, typ: "float32", sfx: "s", fma: fma32},
+		{n: n, typ: "float64", sfx: "d", fma: "math.FMA"},
+		{n: n, typ: "float32", sfx: "s", fma: "eft.FMA32"},
 	}
 }
 
-// tp emits TwoProd(x, y) → (d0, d1) as its defining two lines, so the
-// float64 body contains the FMA intrinsic with no call and no conversion.
-func tp(d0, d1, x, y string, c cfg) string {
-	return fmt.Sprintf("%s := %s * %s\n%s := %s\n", d0, x, y, d1, c.fma(x, y, d0))
+// kernel returns the canonical program of the named production kernel.
+func kernel(op string, n int) *fpan.Program {
+	return fpan.KernelProgram(fmt.Sprintf("%s%d", op, n))
 }
 
-// mulBody returns the flattened expansion step of core.MulAccN: reads
-// x0..x{n-1}, y0..y{n-1} and defines the product's value-preserving
-// pre-renormalization wires, whose names it returns. Verbatim
-// gate-for-gate transcription of core/muladd.go (fused form: the
-// renormalization chain of MulN is skipped; the wires feed the addition
-// network directly).
-func mulBody(c cfg) (string, []string) {
-	switch c.n {
-	case 2:
-		// The conversions on the cross products are rounding barriers
-		// against FMA contraction, mirroring core.MulAcc2.
-		return tp("p00", "e00", "x0", "y0", c) +
-			fmt.Sprintf("t := %s(x0*y1) + %s(x1*y0)\n", c.typ, c.typ) + `zl1 := e00 + t
-`, []string{"p00", "zl1"}
-	case 3:
-		return tp("p00", "e00", "x0", "y0", c) +
-			tp("p01", "e01", "x0", "y1", c) +
-			tp("p10", "e10", "x1", "y0", c) + `c02 := x0 * y2
-c11 := x1 * y1
-c20 := x2 * y0
-a1, b1 := eft.TwoSum(p01, p10)
-h1, i2 := eft.TwoSum(e00, a1)
-m := c02 + c20
-d2 := e01 + e10
-q := c11 + m
-r := d2 + q
-s2 := b1 + i2
-t2 := s2 + r
-`, []string{"p00", "h1", "t2"}
-	case 4:
-		return tp("p00", "e00", "x0", "y0", c) +
-			tp("p01", "e01", "x0", "y1", c) +
-			tp("p10", "e10", "x1", "y0", c) +
-			tp("p02", "e02", "x0", "y2", c) +
-			tp("p20", "e20", "x2", "y0", c) +
-			tp("p11", "e11", "x1", "y1", c) + `c03 := x0 * y3
-c12 := x1 * y2
-c21 := x2 * y1
-c30 := x3 * y0
-a1, b1 := eft.TwoSum(p01, p10)
-h1, i2 := eft.TwoSum(e00, a1)
-a2, b2 := eft.TwoSum(p02, p20)
-d2, f3 := eft.TwoSum(e01, e10)
-m2, n3 := eft.TwoSum(p11, a2)
-q2, r3 := eft.TwoSum(d2, m2)
-s2, t3 := eft.TwoSum(b1, i2)
-v2, w3p := eft.TwoSum(s2, q2)
-ae := e02 + e20
-be := c03 + c30
-ce := c12 + c21
-de := e11 + ae
-ee := be + ce
-fe := de + ee
-ge := b2 + f3
-he := n3 + r3
-ie := w3p + t3
-je := ge + he
-ke := ie + je
-le := fe + ke
-`, []string{"p00", "h1", "v2", "le"}
-	}
-	panic("bad width")
-}
-
-// addBody returns the flattened body of core.AddN as an in-place
-// accumulation: reads accumulator components acc[i] and the product
-// wires z[i], reassigns acc[i]. The wire interleave (x0, y0, x1, y1, …)
-// and gate order are verbatim from internal/core/add.go.
-func addBody(n int, acc, z []string) string {
-	var b bytes.Buffer
-	pair := func(i, j int) {
-		fmt.Fprintf(&b, "w%d, w%d = eft.TwoSum(w%d, w%d)\n", i, j, i, j)
-	}
-	switch n {
-	case 2:
-		fmt.Fprintf(&b, "w0, w1 := eft.TwoSum(%s, %s)\n", acc[0], z[0])
-		fmt.Fprintf(&b, "w2, w3 := eft.TwoSum(%s, %s)\n", acc[1], z[1])
-		fmt.Fprintf(&b, "cc := w1 + w2\n")
-		fmt.Fprintf(&b, "vv, ww := eft.FastTwoSum(w0, cc)\n")
-		fmt.Fprintf(&b, "tt := w3 + ww\n")
-		fmt.Fprintf(&b, "%s, %s = eft.FastTwoSum(vv, tt)\n", acc[0], acc[1])
-	case 3:
-		fmt.Fprintf(&b, "w0, w1 := eft.TwoSum(%s, %s)\n", acc[0], z[0])
-		fmt.Fprintf(&b, "w2, w3 := eft.TwoSum(%s, %s)\n", acc[1], z[1])
-		fmt.Fprintf(&b, "w4, w5 := eft.TwoSum(%s, %s)\n", acc[2], z[2])
-		for _, g := range [][2]int{
-			{0, 2}, {3, 5}, {1, 4}, {0, 1}, {2, 3}, {4, 5}, {1, 2}, {3, 4}, {2, 3},
-			{4, 5}, {3, 4}, {2, 3}, {1, 2}, {0, 1}, // VecSum pass 1
-			{4, 5}, {3, 4}, {2, 3}, {1, 2}, {0, 1}, // VecSum pass 2
-		} {
-			pair(g[0], g[1])
+// block emits program p as a naked block. in[i] is the Go expression for
+// parameter i: a plain identifier is read in place, and any other
+// expression (a load) is bound once to the parameter's name. out[i] is
+// assigned output i. Every product is spelled T(a * b), the Go spec's
+// rounding barrier against FMA contraction, and every FMA as c.fma. The
+// block scope lets the temporaries t<register> repeat across blocks.
+func block(b *bytes.Buffer, c cfg, p *fpan.Program, in, out []string) {
+	name := make([]string, p.NumRegs)
+	read := make([]bool, p.NumRegs)
+	for _, inst := range p.Insts {
+		for _, o := range []fpan.Operand{inst.A, inst.B, inst.C}[:inst.NumIn()] {
+			read[o.Reg] = true
 		}
-		fmt.Fprintf(&b, "%s, %s, %s = w0, w1, w2\n", acc[0], acc[1], acc[2])
-	case 4:
-		fmt.Fprintf(&b, "w0, w1 := eft.TwoSum(%s, %s)\n", acc[0], z[0])
-		fmt.Fprintf(&b, "w2, w3 := eft.TwoSum(%s, %s)\n", acc[1], z[1])
-		fmt.Fprintf(&b, "w4, w5 := eft.TwoSum(%s, %s)\n", acc[2], z[2])
-		fmt.Fprintf(&b, "w6, w7 := eft.TwoSum(%s, %s)\n", acc[3], z[3])
-		for _, g := range [][2]int{
-			{0, 2}, {1, 3}, {4, 6}, {5, 7}, {1, 2}, {5, 6}, {0, 4}, {1, 5},
-			{2, 6}, {3, 7}, {2, 4}, {3, 5}, {1, 2}, {3, 4}, {5, 6}, // Batcher network
-			{6, 7}, {5, 6}, {4, 5}, {3, 4}, {2, 3}, {1, 2}, {0, 1}, // VecSum pass 1
-			{6, 7}, {5, 6}, {4, 5}, {3, 4}, {2, 3}, {1, 2}, {0, 1}, // VecSum pass 2
-			{0, 1}, {1, 2}, {2, 3}, {3, 4}, // top-down error propagation
-		} {
-			pair(g[0], g[1])
+	}
+	for _, r := range p.Outputs {
+		read[r] = true
+	}
+	b.WriteString("{\n")
+	for i, e := range in {
+		name[i] = e
+		if !token.IsIdentifier(e) {
+			name[i] = p.ParamNames[i]
+			fmt.Fprintf(b, "%s := %s\n", name[i], e)
 		}
-		fmt.Fprintf(&b, "%s, %s, %s, %s = w0, w1, w2, w3\n", acc[0], acc[1], acc[2], acc[3])
-	default:
-		panic("bad width")
 	}
-	return b.String()
+	opnd := func(o fpan.Operand) string {
+		if o.Neg {
+			return "-" + name[o.Reg]
+		}
+		return name[o.Reg]
+	}
+	for _, inst := range p.Insts {
+		var rhs string
+		switch inst.Op {
+		case fpan.OpTwoSum:
+			rhs = fmt.Sprintf("eft.TwoSum(%s, %s)", opnd(inst.A), opnd(inst.B))
+		case fpan.OpFastTwoSum:
+			rhs = fmt.Sprintf("eft.FastTwoSum(%s, %s)", opnd(inst.A), opnd(inst.B))
+		case fpan.OpAdd:
+			rhs = fmt.Sprintf("%s + %s", opnd(inst.A), opnd(inst.B))
+		case fpan.OpProd:
+			rhs = fmt.Sprintf("%s(%s * %s)", c.typ, opnd(inst.A), opnd(inst.B))
+		case fpan.OpFMA:
+			rhs = fmt.Sprintf("%s(%s, %s, %s)", c.fma, opnd(inst.A), opnd(inst.B), opnd(inst.C))
+		default:
+			log.Fatalf("genmicro: %s: no Go spelling for %s", p.Name, inst)
+		}
+		dst := make([]string, inst.NumDst())
+		for d := range dst {
+			r := inst.Dst[d]
+			name[r], dst[d] = fmt.Sprintf("t%d", r), "_"
+			if read[r] {
+				dst[d] = name[r]
+			}
+		}
+		fmt.Fprintf(b, "%s := %s\n", strings.Join(dst, ", "), rhs)
+	}
+	res := make([]string, len(p.Outputs))
+	for i, r := range p.Outputs {
+		res[i] = name[r]
+	}
+	fmt.Fprintf(b, "%s = %s\n}\n", strings.Join(out, ", "), strings.Join(res, ", "))
 }
 
-// chain emits one fused multiply–accumulate, acc += x·y, as a
-// block-scoped flattened core.MulAccN; loadX/loadY supply the source
-// expression for each operand component (an AoS element index for the
-// GEMV tiles, a pre-loaded SoA scalar for the GEMM micro-kernels). The
-// block scope lets the canonical temp names repeat across chains.
-func chain(b *bytes.Buffer, c cfg, loadX, loadY func(i int) string, acc []string) {
-	fmt.Fprintf(b, "{\n")
-	for i := 0; i < c.n; i++ {
-		fmt.Fprintf(b, "x%d := %s\n", i, loadX(i))
+// comps returns fmt.Sprintf(format, i) for each component i of an n-term
+// expansion.
+func comps(n int, format string) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf(format, i)
 	}
-	for i := 0; i < c.n; i++ {
-		fmt.Fprintf(b, "y%d := %s\n", i, loadY(i))
-	}
-	code, wires := mulBody(c)
-	b.WriteString(code)
-	b.WriteString(addBody(c.n, acc, wires))
-	fmt.Fprintf(b, "}\n")
+	return out
 }
 
-// elemLoad builds a loader reading component i of an AoS expansion
-// element expression.
-func elemLoad(expr string) func(i int) string {
-	return func(i int) string { return fmt.Sprintf("%s[%d]", expr, i) }
-}
-
-// scalarLoad builds a loader naming the pre-loaded SoA temporaries
-// <prefix><idx>_<component>.
-func scalarLoad(prefix string, idx int) func(i int) string {
-	return func(i int) string { return fmt.Sprintf("%s%d_%d", prefix, idx, i) }
+// mulAcc emits one fused multiply–accumulate, acc += x·y, as a block
+// running the mulacc program: x and y are component expressions (AoS
+// element loads for the GEMV tiles, pre-loaded SoA scalars for the GEMM
+// micro-kernels), and acc names the accumulator, read and reassigned in
+// place.
+func mulAcc(b *bytes.Buffer, c cfg, acc, x, y []string) {
+	in := append(append(append([]string(nil), acc...), x...), y...)
+	block(b, c, kernel("mulacc", c.n), in, acc)
 }
 
 // annots returns the mflint contract directives for a concrete kernel.
@@ -228,14 +164,6 @@ func annots(c cfg) string {
 		return "//mf:branchfree\n" + fpan + "\n//mf:hotpath"
 	}
 	return "// (Not //mf:branchfree: eft.FMA32's round-to-odd fixup branches.)\n//\n" + fpan + "\n//mf:hotpath"
-}
-
-func accNames(r, c, n int) []string {
-	names := make([]string, n)
-	for i := 0; i < n; i++ {
-		names[i] = fmt.Sprintf("s%d%d_%d", r, c, i)
-	}
-	return names
 }
 
 // gemmMicroConcrete emits the mr×nr register-tiled GEMM micro-kernel for
@@ -281,7 +209,7 @@ var (
 	}
 	for r := 0; r < mr; r++ {
 		for j := 0; j < nr; j++ {
-			chain(b, c, scalarLoad("a", r), scalarLoad("b", j), accNames(r, j, n))
+			mulAcc(b, c, comps(n, fmt.Sprintf("s%d%d_%%d", r, j)), comps(n, fmt.Sprintf("a%d_%%d", r)), comps(n, fmt.Sprintf("b%d_%%d", j)))
 		}
 	}
 	fmt.Fprintf(b, "}\n")
@@ -369,7 +297,7 @@ for j := range x {
 xj := x[j]
 `, c.typ)
 	for r := 0; r < 4; r++ {
-		chain(b, c, elemLoad(fmt.Sprintf("r%d[j]", r)), elemLoad("xj"), accNames(r, 0, n))
+		mulAcc(b, c, comps(n, fmt.Sprintf("s%d0_%%d", r)), comps(n, fmt.Sprintf("r%d[j][%%d]", r)), comps(n, "xj[%d]"))
 	}
 	fmt.Fprintf(b, "}\n")
 	for r := 0; r < 4; r++ {

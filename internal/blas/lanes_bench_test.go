@@ -119,27 +119,3 @@ func scatterBench(dst []float64, w int, src *SoA) {
 		}
 	}
 }
-
-// BenchmarkLaneUnrollSweep is the L-factor ablation that fixed
-// LaneWidth = 4: the same mul network flattened at L = 1, 2, 4, 8
-// independent lanes per loop step.
-func BenchmarkLaneUnrollSweep(b *testing.B) {
-	sweep := map[int][]struct {
-		name string
-		fn   LaneFn
-	}{
-		2: {{"L1", laneMul2dL1}, {"L2", laneMul2dL2}, {"L4", laneMul2dFlat}, {"L8", laneMul2dL8}},
-		3: {{"L1", laneMul3dL1}, {"L2", laneMul3dL2}, {"L4", laneMul3dFlat}, {"L8", laneMul3dL8}},
-		4: {{"L1", laneMul4dL1}, {"L2", laneMul4dL2}, {"L4", laneMul4dFlat}, {"L8", laneMul4dL8}},
-	}
-	for n := 2; n <= 4; n++ {
-		x, y, z := benchPlanes(n)
-		for _, v := range sweep[n] {
-			b.Run(fmt.Sprintf("mul%d-%s", n, v.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					v.fn(&x, &y, &z, 0, benchSlab)
-				}
-			})
-		}
-	}
-}

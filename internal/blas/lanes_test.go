@@ -214,67 +214,6 @@ func TestLaneKernelsParallelSlab(t *testing.T) {
 	}
 }
 
-// TestLaneMulUnrollVariants pins the bench-only unroll-sweep variants
-// (L=1/2/8) against the production flat kernel on finite, bounded-exponent
-// inputs. The flat variants are only pairwise bit-identical where outputs
-// are finite (NaN payload sign is an operand-order artifact of each
-// compiled copy — see the genmicro package comment), so this test bounds
-// lead exponents to ±100 and asserts finiteness as a precondition check.
-func TestLaneMulUnrollVariants(t *testing.T) {
-	variants := map[int][]LaneFn{
-		2: {laneMul2dL1, laneMul2dL2, laneMul2dFlat, laneMul2dL8},
-		3: {laneMul3dL1, laneMul3dL2, laneMul3dFlat, laneMul3dL8},
-		4: {laneMul4dL1, laneMul4dL2, laneMul4dFlat, laneMul4dL8},
-	}
-	names := []string{"L1", "L2", "L4(flat)", "L8"}
-	const count = 37
-	for n := 2; n <= 4; n++ {
-		r := rand.New(rand.NewSource(int64(n)))
-		xs := make([][]float64, count)
-		ys := make([][]float64, count)
-		for i := range xs {
-			x, y := make([]float64, n), make([]float64, n)
-			x[0] = (r.Float64()*2 - 1) * math.Ldexp(1, r.Intn(200)-100)
-			y[0] = (r.Float64()*2 - 1) * math.Ldexp(1, r.Intn(200)-100)
-			for j := 1; j < n; j++ {
-				x[j] = x[j-1] * math.Ldexp(r.Float64(), -53)
-				y[j] = y[j-1] * math.Ldexp(r.Float64(), -53)
-			}
-			xs[i], ys[i] = x, y
-		}
-		x, y := makeSoA(xs, n), makeSoA(ys, n)
-		var ref SoA
-		for j := 0; j < n; j++ {
-			ref[j] = make([]float64, count)
-		}
-		variants[n][2](&x, &y, &ref, 0, count)
-		for j := 0; j < n; j++ {
-			for i := 0; i < count; i++ {
-				if !isFinite(ref[j][i]) {
-					t.Fatalf("mul%d: reference output not finite at comp=%d elem=%d — input generator drifted out of the finite regime", n, j, i)
-				}
-			}
-		}
-		for vi, fn := range variants[n] {
-			var z SoA
-			for j := 0; j < n; j++ {
-				z[j] = make([]float64, count)
-			}
-			fn(&x, &y, &z, 0, count)
-			for j := 0; j < n; j++ {
-				for i := 0; i < count; i++ {
-					if math.Float64bits(z[j][i]) != math.Float64bits(ref[j][i]) {
-						t.Fatalf("mul%d variant %s comp=%d elem=%d: %#016x, want %#016x",
-							n, names[vi], j, i, math.Float64bits(z[j][i]), math.Float64bits(ref[j][i]))
-					}
-				}
-			}
-		}
-	}
-}
-
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
 // TestLaneDispatchTable checks the dispatch surface the executors rely
 // on: every (op, width) slot is populated and the unroll factor is the
 // one the packers and benchmarks assume.

@@ -188,75 +188,6 @@ func DotF4Parallel[T eft.Float](x, y []mf.F4[T], workers int) mf.F4[T] {
 		func(a, b mf.F4[T]) mf.F4[T] { return a.Add(b) }, mf.F4[T]{})
 }
 
-// GemvF2Parallel splits rows across workers.
-func GemvF2Parallel[T eft.Float](a []mf.F2[T], n, m int, x, y []mf.F2[T], workers int) {
-	parallelRows(n, workers, func(lo, hi int) { GemvF2(a[lo*m:hi*m], hi-lo, m, x, y[lo:hi]) })
-}
-
-// GemvF3Parallel splits rows across workers.
-func GemvF3Parallel[T eft.Float](a []mf.F3[T], n, m int, x, y []mf.F3[T], workers int) {
-	parallelRows(n, workers, func(lo, hi int) { GemvF3(a[lo*m:hi*m], hi-lo, m, x, y[lo:hi]) })
-}
-
-// GemvF4Parallel splits rows across workers.
-func GemvF4Parallel[T eft.Float](a []mf.F4[T], n, m int, x, y []mf.F4[T], workers int) {
-	parallelRows(n, workers, func(lo, hi int) { GemvF4(a[lo*m:hi*m], hi-lo, m, x, y[lo:hi]) })
-}
-
-// GemmF2Parallel splits the i loop across workers.
-func GemmF2Parallel[T eft.Float](a, b, c []mf.F2[T], n, workers int) {
-	parallelRows(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : (i+1)*n]
-			for k := 0; k < n; k++ {
-				e0, e1 := a[i*n+k][0], a[i*n+k][1]
-				bk := b[k*n : (k+1)*n]
-				for j := 0; j < n; j++ {
-					p0, p1 := core.Mul2(e0, e1, bk[j][0], bk[j][1])
-					z0, z1 := core.Add2(ci[j][0], ci[j][1], p0, p1)
-					ci[j] = mf.F2[T]{z0, z1}
-				}
-			}
-		}
-	})
-}
-
-// GemmF3Parallel splits the i loop across workers.
-func GemmF3Parallel[T eft.Float](a, b, c []mf.F3[T], n, workers int) {
-	parallelRows(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : (i+1)*n]
-			for k := 0; k < n; k++ {
-				e0, e1, e2 := a[i*n+k][0], a[i*n+k][1], a[i*n+k][2]
-				bk := b[k*n : (k+1)*n]
-				for j := 0; j < n; j++ {
-					p0, p1, p2 := core.Mul3(e0, e1, e2, bk[j][0], bk[j][1], bk[j][2])
-					z0, z1, z2 := core.Add3(ci[j][0], ci[j][1], ci[j][2], p0, p1, p2)
-					ci[j] = mf.F3[T]{z0, z1, z2}
-				}
-			}
-		}
-	})
-}
-
-// GemmF4Parallel splits the i loop across workers.
-func GemmF4Parallel[T eft.Float](a, b, c []mf.F4[T], n, workers int) {
-	parallelRows(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : (i+1)*n]
-			for k := 0; k < n; k++ {
-				e0, e1, e2, e3 := a[i*n+k][0], a[i*n+k][1], a[i*n+k][2], a[i*n+k][3]
-				bk := b[k*n : (k+1)*n]
-				for j := 0; j < n; j++ {
-					p0, p1, p2, p3 := core.Mul4(e0, e1, e2, e3, bk[j][0], bk[j][1], bk[j][2], bk[j][3])
-					z0, z1, z2, z3 := core.Add4(ci[j][0], ci[j][1], ci[j][2], ci[j][3], p0, p1, p2, p3)
-					ci[j] = mf.F4[T]{z0, z1, z2, z3}
-				}
-			}
-		}
-	})
-}
-
 // ---- native base-type kernels (the 53-bit / 24-bit rows) ----
 
 // AxpyNative computes y[i] += alpha·x[i] on the native base type.

@@ -30,9 +30,9 @@ func Mul3[T eft.Float](x0, x1, x2, y0, y1, y2 T) (z0, z1, z2 T) {
 	p00, e00 := eft.TwoProd(x0, y0)
 	p01, e01 := eft.TwoProd(x0, y1)
 	p10, e10 := eft.TwoProd(x1, y0)
-	c02 := x0 * y2
-	c11 := x1 * y1
-	c20 := x2 * y0
+	c02 := T(x0 * y2)
+	c11 := T(x1 * y1)
+	c20 := T(x2 * y0)
 
 	a1, b1 := eft.TwoSum(p01, p10) // commutative layer
 	h1, i2 := eft.TwoSum(e00, a1)
@@ -61,10 +61,10 @@ func Mul4[T eft.Float](x0, x1, x2, x3, y0, y1, y2, y3 T) (z0, z1, z2, z3 T) {
 	p02, e02 := eft.TwoProd(x0, y2)
 	p20, e20 := eft.TwoProd(x2, y0)
 	p11, e11 := eft.TwoProd(x1, y1)
-	c03 := x0 * y3
-	c12 := x1 * y2
-	c21 := x2 * y1
-	c30 := x3 * y0
+	c03 := T(x0 * y3)
+	c12 := T(x1 * y2)
+	c21 := T(x2 * y1)
+	c30 := T(x3 * y0)
 
 	a1, b1 := eft.TwoSum(p01, p10) // commutative layer
 	h1, i2 := eft.TwoSum(e00, a1)
@@ -151,7 +151,7 @@ func Mul41[T eft.Float](x0, x1, x2, x3, c T) (z0, z1, z2, z3 T) {
 //mf:fpan sqr2
 func Sqr2[T eft.Float](x0, x1 T) (z0, z1 T) {
 	p00, e00 := eft.TwoProd(x0, x0)
-	t := 2 * (x0 * x1)
+	t := 2 * T(x0*x1)
 	s := e00 + t
 	return eft.FastTwoSum(p00, s)
 }
@@ -164,8 +164,8 @@ func Sqr2[T eft.Float](x0, x1 T) (z0, z1 T) {
 func Sqr3[T eft.Float](x0, x1, x2 T) (z0, z1, z2 T) {
 	p00, e00 := eft.TwoProd(x0, x0)
 	p01, e01 := eft.TwoProd(x0, x1) // doubled below
-	c02 := 2 * (x0 * x2)
-	c11 := x1 * x1
+	c02 := 2 * T(x0*x2)
+	c11 := T(x1 * x1)
 
 	// The mul3 FPAN with the symmetric pairs pre-merged: a1 = 2·p01
 	// exactly (scaling by 2 is exact), d2 = 2·e01, m = c02.
@@ -192,8 +192,8 @@ func Sqr4[T eft.Float](x0, x1, x2, x3 T) (z0, z1, z2, z3 T) {
 	p01, e01 := eft.TwoProd(x0, x1)
 	p02, e02 := eft.TwoProd(x0, x2)
 	p11, e11 := eft.TwoProd(x1, x1)
-	c03 := 2 * (x0 * x3)
-	c12 := 2 * (x1 * x2)
+	c03 := 2 * T(x0*x3)
+	c12 := 2 * T(x1*x2)
 
 	// mul4 FPAN with symmetric pairs pre-merged by exact doubling.
 	a1 := 2 * p01

@@ -54,9 +54,9 @@ func MulAcc3[T eft.Float](s0, s1, s2, x0, x1, x2, y0, y1, y2 T) (T, T, T) {
 	p00, e00 := eft.TwoProd(x0, y0)
 	p01, e01 := eft.TwoProd(x0, y1)
 	p10, e10 := eft.TwoProd(x1, y0)
-	c02 := x0 * y2
-	c11 := x1 * y1
-	c20 := x2 * y0
+	c02 := T(x0 * y2)
+	c11 := T(x1 * y1)
+	c20 := T(x2 * y0)
 	a1, b1 := eft.TwoSum(p01, p10)
 	h1, i2 := eft.TwoSum(e00, a1)
 	m := c02 + c20
@@ -106,10 +106,10 @@ func MulAcc4[T eft.Float](s0, s1, s2, s3, x0, x1, x2, x3, y0, y1, y2, y3 T) (T, 
 	p02, e02 := eft.TwoProd(x0, y2)
 	p20, e20 := eft.TwoProd(x2, y0)
 	p11, e11 := eft.TwoProd(x1, y1)
-	c03 := x0 * y3
-	c12 := x1 * y2
-	c21 := x2 * y1
-	c30 := x3 * y0
+	c03 := T(x0 * y3)
+	c12 := T(x1 * y2)
+	c21 := T(x2 * y1)
+	c30 := T(x3 * y0)
 	a1, b1 := eft.TwoSum(p01, p10)
 	h1, i2 := eft.TwoSum(e00, a1)
 	a2, b2 := eft.TwoSum(p02, p20)

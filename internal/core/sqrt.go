@@ -43,15 +43,15 @@ func Sqrt2[T eft.Float](a0, a1 T) (z0, z1 T) {
 	// Karp–Markstein: s = a0·x is a machine approximation of √a; one
 	// correction step folds the Newton update into the final product:
 	// √a ≈ s + ½x·(a - s²).
-	s := a0 * x
+	s := T(a0 * x)
 	p, e := eft.TwoProd(s, s)
 	r0, _ := Sub2(a0, a1, p, e)
-	c := r0 * (x / 2)
+	c := T(r0 * (x / 2))
 	s, c = eft.FastTwoSum(s, c)
 	// Second correction at full 2-term precision.
 	p0, p1 := Mul2(s, c, s, c)
 	r0, _ = Sub2(a0, a1, p0, p1)
-	c2 := r0 * (x / 2)
+	c2 := T(r0 * (x / 2))
 	return Add21(s, c, c2)
 }
 

@@ -34,7 +34,9 @@ func AugmentedAdd(x, y float64) (s, e float64) {
 	// the rounded sum is near ±MaxFloat64 even though the sum itself is
 	// finite. Select the safe scaled recomputation in that case.
 	if math.IsNaN(te) || math.IsInf(te, 0) {
-		sx, sy := x*0.5, y*0.5
+		// The halvings are exact; the conversions keep them out of
+		// TwoSum's additions on fusing targets all the same.
+		sx, sy := float64(x*0.5), float64(y*0.5)
 		hs, he := TwoSum(sx, sy)
 		_ = hs
 		return s, he * 2

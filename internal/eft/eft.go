@@ -61,10 +61,14 @@ func FastTwoSum[T Float](x, y T) (s, e T) {
 // the subnormal threshold where e would be unrepresentable.
 // 2 FLOPs, branch-free.
 //
+// The T(...) conversion is a rounding barrier: Go lets a fusing target
+// (arm64, ppc64le, s390x, riscv64, loong64) contract the product into
+// whatever addition consumes p after inlining, which would count e twice.
+//
 //mf:branchfree
 //mf:fpan twoprod
 func TwoProd[T Float](x, y T) (p, e T) {
-	p = x * y
+	p = T(x * y)
 	e = FMA(x, y, -p)
 	return p, e
 }
@@ -96,7 +100,7 @@ func FMA[T Float](x, y, z T) T {
 // nearest at 24 bits equals a single correct rounding because 53 ≥ 2·24+2
 // (Boldo–Melquiond).
 func FMA32(x, y, z float32) float32 {
-	p := float64(x) * float64(y) // exact
+	p := float64(float64(x) * float64(y)) // exact; the conversion bars contraction
 	s, e := TwoSum(p, float64(z))
 	if e != 0 && !math.IsInf(s, 0) {
 		// Round to odd: if the 53-bit sum was inexact and its last
@@ -141,7 +145,7 @@ func Split[T Float](x T) (hi, lo T) {
 // without using an FMA (Dekker 1971 / Veltkamp). 17 FLOPs. Valid when no
 // intermediate overflow occurs in the splitting (|x|, |y| < 2^(emax - 27)).
 //
-// Each split product is wrapped in an explicit T(...) conversion: the Go
+// Each product is wrapped in an explicit T(...) conversion: the Go
 // spec lets the compiler contract a*b±c into one fused rounding on arm64,
 // and fusing any of these products computes the error of a multiplication
 // that never happened. The conversions are guaranteed rounding barriers
@@ -149,7 +153,7 @@ func Split[T Float](x T) (hi, lo T) {
 //
 //mf:branchfree
 func TwoProdDekker[T Float](x, y T) (p, e T) {
-	p = x * y
+	p = T(x * y)
 	xh, xl := Split(x)
 	yh, yl := Split(y)
 	e = ((T(xh*yh) - p) + T(xh*yl) + T(xl*yh)) + T(xl*yl)

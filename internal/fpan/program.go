@@ -9,13 +9,13 @@ package fpan
 //
 // Registers are single-assignment: params occupy registers 0..NumParams-1
 // and every instruction writes fresh registers. The lifter enforces the
-// wire discipline (each instruction result feeds exactly one consumer) so
-// that a Program built from a pure add network converts losslessly to a
-// Network via GateNetwork.
+// wire discipline (each instruction result feeds exactly one consumer),
+// the property that makes a kernel a network at all. KernelProgram
+// builds the production kernels' programs from their networks.
 //
 // TwoProd has no dedicated opcode. Both spellings that occur in source —
-// the eft.TwoProd call and the generated inline form p := x*y followed by
-// e := FMA(x, y, -p) — lower to the same OpProd + OpFMA pair, so the two
+// the eft.TwoProd call and the generated inline form p := T(x*y) followed
+// by e := FMA(x, y, -p) — lower to the same OpProd + OpFMA pair, so the two
 // forms are structurally identical and hash equal. In the exact softfloat
 // model OpFMA computes RNE(a·b+c), which reproduces TwoProd's error term
 // (including any precondition violation) with no special casing.
@@ -275,178 +275,153 @@ func (p *Program) Diff(ref *Program) string {
 	return ""
 }
 
-// GateNetwork converts the pure accumulation-gate portion of the program
-// into a Network for diffing against the paper's canonical networks.
+// KernelProgram returns the canonical Program of a production kernel,
+// add{2,3,4}, mul{2,3,4} or mulacc{2,3,4}, built from the networks in
+// networks.go alone; it returns nil for any other name. The parameters
+// are the operand components in internal/core's signature order:
+// x0..x{n-1}, then y0..y{n-1}, after the accumulator s0..s{n-1} for
+// mulacc.
 //
-// Every register produced outside the gate family — params, products,
-// FMAs, doublings — becomes an input wire, numbered in order of first use
-// by a gate; TwoSum/FastTwoSum/Add instructions become gates on those
-// wires under the usual FPAN convention (a gate's results stay on the
-// wires it read). It fails if a gate reads a negated operand, if a
-// non-gate instruction consumes a gate result (then the program is not an
-// accumulation network over fixed inputs), or if the wire discipline is
-// violated (a wire value read again after being overwritten).
-func (p *Program) GateNetwork() (*Network, error) {
-	isGate := func(op OpKind) bool {
-		return op == OpTwoSum || op == OpFastTwoSum || op == OpAdd
+//   - addN runs the addN network over the interleaved (x_i, y_i).
+//   - mulN reads its expansion step off mulN's input labels: pij is
+//     TwoProd(x_i, y_j), which also defines eij, and cij is a plain
+//     product. The mulN gates follow.
+//   - mulaccN is mulN without its renormalization suffix, the trailing
+//     gates that touch only output wires. The product's output wires
+//     feed addN, interleaved with the accumulator.
+//
+// cmd/mfprove diffs each core reference kernel against these programs,
+// and genmicro emits the generated kernels from them.
+func KernelProgram(name string) *Program {
+	if len(name) < 4 {
+		return nil
 	}
-	// wireOf[r] is the wire whose CURRENT value register r holds, -1 if r
-	// is not live on any wire.
-	wireOf := make([]int, p.NumRegs)
-	live := make([]int, 0, p.NumRegs) // live[w] = register currently on wire w
-	for i := range wireOf {
-		wireOf[i] = -1
+	op, n := name[:len(name)-1], int(name[len(name)-1]-'0')
+	if n < 2 || n > 4 || (op != "add" && op != "mul" && op != "mulacc") {
+		return nil
 	}
-	net := &Network{}
-	wire := func(o Operand, i int) (int, error) {
-		if o.Neg {
-			return 0, fmt.Errorf("inst %d: gate reads negated operand %s", i, o)
-		}
-		if w := wireOf[o.Reg]; w >= 0 {
-			if live[w] != o.Reg {
-				return 0, fmt.Errorf("inst %d: reads stale wire value r%d", i, o.Reg)
-			}
-			return w, nil
-		}
-		w := len(live)
-		wireOf[o.Reg] = w
-		live = append(live, o.Reg)
-		return w, nil
+	p := &Program{Name: name}
+	var s []int
+	if op == "mulacc" {
+		s = p.params("s", n)
 	}
-	for i, in := range p.Insts {
-		if !isGate(in.Op) {
-			// A non-gate instruction may only combine non-gate values
-			// (the expansion step ahead of the network); if it consumes a
-			// gate result the program has no pure-network form.
-			for _, o := range []Operand{in.A, in.B, in.C} {
-				if o.Reg >= 0 && o.Reg < p.NumRegs && wireOf[o.Reg] >= 0 {
-					return nil, fmt.Errorf("inst %d (%s) consumes accumulation wire r%d", i, in.Op, o.Reg)
-				}
-			}
-			continue
-		}
-		wa, err := wire(in.A, i)
-		if err != nil {
-			return nil, err
-		}
-		wb, err := wire(in.B, i)
-		if err != nil {
-			return nil, err
-		}
-		if wa == wb {
-			return nil, fmt.Errorf("inst %d: gate reads wire %d twice", i, wa)
-		}
-		var kind GateKind
-		switch in.Op {
-		case OpTwoSum:
-			kind = Sum
-		case OpFastTwoSum:
-			kind = FastSum
-		case OpAdd:
-			kind = Add
-		}
-		net.Gates = append(net.Gates, Gate{Kind: kind, A: wa, B: wb})
-		wireOf[in.Dst[0]] = wa
-		live[wa] = in.Dst[0]
-		if in.NumDst() == 2 {
-			wireOf[in.Dst[1]] = wb
-			live[wb] = in.Dst[1]
-		} else {
-			live[wb] = -1 // Add zeroes wire B; further reads are stale
-		}
+	x, y := p.params("x", n), p.params("y", n)
+	mul := ByName(fmt.Sprintf("mul%d", n))
+	switch op {
+	case "add":
+		p.Outputs = p.addNet(n, x, y)
+	case "mul":
+		p.Outputs = p.mulNet(mul, len(mul.Gates), x, y)
+	default:
+		p.Outputs = p.addNet(n, s, p.mulNet(mul, renormStart(mul), x, y))
 	}
-	for _, r := range p.Outputs {
-		w := wireOf[r]
-		if w < 0 || live[w] != r {
-			return nil, fmt.Errorf("output r%d is not a live wire value", r)
-		}
-		net.Outputs = append(net.Outputs, w)
-	}
-	net.NumWires = len(live)
-	net.Name = p.Name
-	net.InputLabels = make([]string, net.NumWires)
-	net.OutputLabels = make([]string, len(net.Outputs))
-	for i := range net.InputLabels {
-		net.InputLabels[i] = fmt.Sprintf("w%d", i)
-	}
-	for i := range net.OutputLabels {
-		net.OutputLabels[i] = fmt.Sprintf("z%d", i)
-	}
-	return net, nil
+	return p
 }
 
-// CanonNetwork renumbers a network's wires by order of first gate use,
-// producing a comparable form for DiffNetworks. Wires never touched by a
-// gate are appended in original order.
-func CanonNetwork(n *Network) *Network {
-	canon := make([]int, n.NumWires)
-	for i := range canon {
-		canon[i] = -1
+// params appends n parameters named prefix0..prefix{n-1}; it must run
+// before any instruction is appended.
+func (p *Program) params(prefix string, n int) []int {
+	regs := make([]int, n)
+	for i := range regs {
+		regs[i] = p.NumRegs
+		p.ParamNames = append(p.ParamNames, fmt.Sprintf("%s%d", prefix, i))
+		p.NumRegs++
 	}
-	next := 0
-	id := func(w int) int {
-		if canon[w] < 0 {
-			canon[w] = next
-			next++
-		}
-		return canon[w]
-	}
-	c := &Network{Name: n.Name, NumWires: n.NumWires, ErrorBoundBits: n.ErrorBoundBits}
-	for _, g := range n.Gates {
-		c.Gates = append(c.Gates, Gate{Kind: g.Kind, A: id(g.A), B: id(g.B)})
-	}
-	for _, w := range n.Outputs {
-		c.Outputs = append(c.Outputs, id(w))
-	}
-	c.InputLabels = make([]string, c.NumWires)
-	c.OutputLabels = make([]string, len(c.Outputs))
-	for w, cw := range canon {
-		if cw >= 0 && w < len(n.InputLabels) {
-			c.InputLabels[cw] = n.InputLabels[w]
-		}
-	}
-	for i := range c.OutputLabels {
-		if i < len(n.OutputLabels) {
-			c.OutputLabels[i] = n.OutputLabels[i]
-		}
-	}
-	return c
+	p.NumParams = p.NumRegs
+	return regs
 }
 
-// DiffNetworks compares two networks gate by gate after canonical wire
-// renumbering and describes the first divergence ("" if identical). The
-// reference network's input labels name the wires in the message.
-func DiffNetworks(got, ref *Network) string {
-	g, r := CanonNetwork(got), CanonNetwork(ref)
-	label := func(w int) string {
-		if w < len(r.InputLabels) && r.InputLabels[w] != "" {
-			return fmt.Sprintf("w%d(%s)", w, r.InputLabels[w])
+// inst appends one instruction writing fresh registers and returns them
+// (d1 is -1 for a one-result op).
+func (p *Program) inst(op OpKind, a, b, c Operand) (d0, d1 int) {
+	in := Inst{Op: op, A: a, B: b, C: c, Dst: [2]int{p.NumRegs, -1}}
+	p.NumRegs++
+	if in.NumDst() == 2 {
+		in.Dst[1] = p.NumRegs
+		p.NumRegs++
+	}
+	p.Insts = append(p.Insts, in)
+	return in.Dst[0], in.Dst[1]
+}
+
+// gates appends gs as instructions on the wire values cur (cur[w] is the
+// register on wire w), updating cur; an Add leaves -1 on its wire B. It
+// fails on a gate that reads a consumed wire.
+func (p *Program) gates(gs []Gate, cur []int) error {
+	ops := [...]OpKind{Add: OpAdd, Sum: OpTwoSum, FastSum: OpFastTwoSum}
+	for i, g := range gs {
+		for _, w := range [2]int{g.A, g.B} {
+			if cur[w] < 0 {
+				return fmt.Errorf("gate %d reads wire %d, consumed by an earlier Add", i, w)
+			}
 		}
-		return fmt.Sprintf("w%d", w)
+		cur[g.A], cur[g.B] = p.inst(ops[g.Kind], Operand{Reg: cur[g.A]}, Operand{Reg: cur[g.B]}, Operand{})
 	}
-	n := len(g.Gates)
-	if len(r.Gates) < n {
-		n = len(r.Gates)
+	return nil
+}
+
+// addNet appends the addN network over the interleaved (x_i, y_i) and
+// returns its output registers.
+func (p *Program) addNet(n int, x, y []int) []int {
+	net := ByName(fmt.Sprintf("add%d", n))
+	cur := make([]int, 0, 2*n)
+	for i := range x {
+		cur = append(cur, x[i], y[i])
 	}
-	for i := 0; i < n; i++ {
-		gg, rg := g.Gates[i], r.Gates[i]
-		if gg != rg {
-			return fmt.Sprintf("gate %d: lifted %s(%s, %s), canonical %s(%s, %s)",
-				i, gg.Kind, label(gg.A), label(gg.B), rg.Kind, label(rg.A), label(rg.B))
+	return p.run(net, len(net.Gates), cur)
+}
+
+// mulNet appends the expansion step read off net's input labels and
+// then net's first k gates, and returns the registers on its output
+// wires.
+func (p *Program) mulNet(net *Network, k int, x, y []int) []int {
+	cur := make([]int, net.NumWires)
+	errs := make(map[string]int)
+	for w, label := range net.InputLabels {
+		a, b := Operand{Reg: x[label[1]-'0']}, Operand{Reg: y[label[2]-'0']}
+		switch label[0] {
+		case 'p':
+			cur[w], _ = p.inst(OpProd, a, b, Operand{})
+			errs["e"+label[1:]], _ = p.inst(OpFMA, a, b, Operand{Reg: cur[w], Neg: true})
+		case 'c':
+			cur[w], _ = p.inst(OpProd, a, b, Operand{})
+		default:
+			e, ok := errs[label]
+			if !ok {
+				panic(fmt.Sprintf("fpan: %s input %q precedes its product", net.Name, label))
+			}
+			cur[w] = e
 		}
 	}
-	if len(g.Gates) != len(r.Gates) {
-		return fmt.Sprintf("size: lifted %d gates, canonical %d", len(g.Gates), len(r.Gates))
+	return p.run(net, k, cur)
+}
+
+// run appends net's first k gates on the wire values cur and returns the
+// registers on its output wires. The production networks read no
+// consumed wire, so an error here is a broken networks.go.
+func (p *Program) run(net *Network, k int, cur []int) []int {
+	if err := p.gates(net.Gates[:k], cur); err != nil {
+		panic(fmt.Sprintf("fpan %q: %v", net.Name, err))
 	}
-	if len(g.Outputs) != len(r.Outputs) {
-		return fmt.Sprintf("outputs: lifted %d, canonical %d", len(g.Outputs), len(r.Outputs))
+	out := make([]int, len(net.Outputs))
+	for i, w := range net.Outputs {
+		out[i] = cur[w]
 	}
-	for i := range g.Outputs {
-		if g.Outputs[i] != r.Outputs[i] {
-			return fmt.Sprintf("output %d: lifted %s, canonical %s", i, label(g.Outputs[i]), label(r.Outputs[i]))
-		}
+	return out
+}
+
+// renormStart returns where net's renormalization suffix begins: the
+// trailing gates that touch only output wires.
+func renormStart(net *Network) int {
+	isOut := make([]bool, net.NumWires)
+	for _, w := range net.Outputs {
+		isOut[w] = true
 	}
-	return ""
+	k := len(net.Gates)
+	for k > 0 && isOut[net.Gates[k-1].A] && isOut[net.Gates[k-1].B] {
+		k--
+	}
+	return k
 }
 
 // FromNetwork converts a Network into an equivalent Program (each wire an
@@ -466,32 +441,8 @@ func FromNetwork(n *Network) (*Program, error) {
 	for i := range cur {
 		cur[i] = i
 	}
-	for i, g := range n.Gates {
-		for _, w := range [2]int{g.A, g.B} {
-			if cur[w] < 0 {
-				return nil, fmt.Errorf("fpan %q: gate %d reads wire %d, consumed by an earlier Add", n.Name, i, w)
-			}
-		}
-		in := Inst{A: Operand{Reg: cur[g.A]}, B: Operand{Reg: cur[g.B]}, Dst: [2]int{-1, -1}}
-		switch g.Kind {
-		case Sum:
-			in.Op = OpTwoSum
-		case FastSum:
-			in.Op = OpFastTwoSum
-		case Add:
-			in.Op = OpAdd
-		}
-		in.Dst[0] = p.NumRegs
-		cur[g.A] = p.NumRegs
-		p.NumRegs++
-		if in.NumDst() == 2 {
-			in.Dst[1] = p.NumRegs
-			cur[g.B] = p.NumRegs
-			p.NumRegs++
-		} else {
-			cur[g.B] = -1
-		}
-		p.Insts = append(p.Insts, in)
+	if err := p.gates(n.Gates, cur); err != nil {
+		return nil, fmt.Errorf("fpan %q: %w", n.Name, err)
 	}
 	for _, w := range n.Outputs {
 		if cur[w] < 0 {

@@ -72,32 +72,29 @@ func TestDiffReportsGateSwap(t *testing.T) {
 	}
 }
 
-// The hand-built add2 program must convert to a gate network identical to
-// the paper's canonical add2 under canonical wire numbering, and a
-// FromNetwork round trip must preserve the structure.
-func TestGateNetworkMatchesCanonicalAdd2(t *testing.T) {
+// KernelProgram("add2"), built from the add2 network, must equal the
+// hand-built add2 program up to canonical renumbering, and so must the
+// plain FromNetwork conversion of the network.
+func TestKernelProgramMatchesHandBuiltAdd2(t *testing.T) {
 	p := mustAdd2Prog(t, [4]int{0, 1, 2, 3})
-	net, err := p.GateNetwork()
-	if err != nil {
+	k := KernelProgram("add2")
+	if err := k.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d := DiffNetworks(net, Add2()); d != "" {
-		t.Fatalf("lifted add2 differs from canonical: %s", d)
+	if d := k.Diff(p); d != "" {
+		t.Fatalf("KernelProgram(add2) differs from the hand-built add2: %s", d)
 	}
-	// Round trip: canonical network -> program -> network.
 	fp, err := FromNetwork(Add2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := fp.GateNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := DiffNetworks(rt, Add2()); d != "" {
-		t.Fatalf("FromNetwork round trip drifted: %s", d)
-	}
 	if fp.Hash() != p.Hash() {
-		t.Fatal("FromNetwork(add2) and hand-lifted add2 disagree")
+		t.Fatal("FromNetwork(add2) and the hand-built add2 disagree")
+	}
+	for _, name := range []string{"", "add", "add1", "add5", "sub2", "mulacc", "sqr2"} {
+		if KernelProgram(name) != nil {
+			t.Errorf("KernelProgram(%q) is not nil", name)
+		}
 	}
 }
 
@@ -149,8 +146,8 @@ func TestSpecRegistry(t *testing.T) {
 		if s.P < 2 || s.P > 6 {
 			t.Errorf("spec %q precision %d outside the exhaustive range", name, s.P)
 		}
-		if s.Canon != "" && ByName(s.Canon) == nil {
-			t.Errorf("spec %q names unknown canonical network %q", name, s.Canon)
+		if s.Canon != "" && KernelProgram(s.Canon) == nil {
+			t.Errorf("spec %q names unknown canonical kernel %q", name, s.Canon)
 		}
 	}
 	for _, name := range []string{"add2", "add3", "add4", "mul2", "mul3", "mul4"} {

@@ -86,7 +86,7 @@ type Spec struct {
 	Bound  BoundSpec // discarded-error bound q = A·p − B at precision P
 	Band   int64     // output nonoverlap band multiplier (CheckOutputsBand)
 	Strict bool      // inputs satisfy strict half-ulp nonoverlap (else weak 2·ulp)
-	Canon  string    // canonical network name for a gate-level diff, or ""
+	Canon  string    // kernel whose KernelProgram the reference must equal, or ""
 	Ref    string    // reference kernel ("core.Add2"); instances must hash-match it
 }
 

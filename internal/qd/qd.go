@@ -278,7 +278,7 @@ func (a QD) MulFloat(c float64) QD {
 	p0, q0 := eft.TwoProd(a[0], c)
 	p1, q1 := eft.TwoProd(a[1], c)
 	p2, q2 := eft.TwoProd(a[2], c)
-	p3 := a[3] * c
+	p3 := float64(a[3] * c) // the conversion bars contraction into s3
 	s1, t1 := eft.TwoSum(q0, p1)
 	s2, t2 := eft.TwoSum(q1, p2)
 	s2, t1 = eft.TwoSum(s2, t1)
