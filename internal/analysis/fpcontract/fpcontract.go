@@ -32,6 +32,11 @@
 //
 // The conversion costs nothing on non-fusing targets (the value already
 // has type T) and pins identical bit patterns on fusing ones.
+//
+// The check reads one expression at a time, so it cannot see a product
+// bound to a variable and added in a later statement, or returned by an
+// inlined call such as eft.TwoProd; gc fuses those too.
+// internal/analysis/fusescan checks the arm64 machine code for them.
 package fpcontract
 
 import (

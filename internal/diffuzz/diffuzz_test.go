@@ -99,3 +99,26 @@ func TestSpecialContractProbes(t *testing.T) {
 		t.Errorf("recip2(+Inf): %+v", out)
 	}
 }
+
+// TestLogThresholdGatesResultTail pins the log family's in-threshold
+// gate on the result: a result whose width-n tail would be subnormal is
+// recorded, not enforced, however normal the operand is.
+func TestLogThresholdGatesResultTail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    []float64
+		want bool
+	}{
+		{"log2", []float64{1, 1e-300}, false}, // the FuzzLogExpRoundTrip reproducer
+		{"log1p", []float64{1e-300, 0}, false},
+		{"log1p", []float64{0x1p-960, 0}, true},
+		{"log", []float64{1, 0x1p-900, 0}, true},
+		{"log", []float64{1, 0x1p-900, 0, 0}, false},
+		{"log10", []float64{2, 0}, true},
+		{"log", []float64{1, 0}, true}, // exact zero result stays enforced
+	} {
+		if got := mathInTh(tc.name, tc.a, nil); got != tc.want {
+			t.Errorf("mathInTh(%s, %v) = %v, want %v", tc.name, tc.a, got, tc.want)
+		}
+	}
+}

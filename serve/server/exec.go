@@ -12,7 +12,8 @@ import (
 // Slab executors. Scalar batches are assembled as structure-of-arrays
 // slabs (one contiguous plane per expansion component — see
 // internal/blas/soa.go) and run through the generated multi-lane
-// kernels, which transcribe the internal/core gate networks verbatim —
+// kernels, which run the internal/core gate networks gate for gate
+// (mfprove checks the programs they are emitted from against core) —
 // so a remote result is bit-identical to the corresponding in-process
 // call no matter how requests were batched. The slab is split across
 // the internal/blas worker pool.
