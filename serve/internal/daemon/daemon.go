@@ -1,17 +1,17 @@
 // Package daemon is the connection machinery mfserved (serve/server) and
 // mfproxy (serve/proxy) share: the listener and its accept loop, the
 // connection set and the graceful-drain order, coarse deadline arming,
-// the frame read loop with its failure classification, the two ways to
-// write responses (a locked write+flush, and a queue drained by a writer
-// goroutine), and the counters every daemon keeps. A daemon supplies
-// only what differs: a Handler per connection and its shutdown hooks.
+// the frame read loop with its failure classification, the one way to
+// send a response (QueueResponse: a per-connection queue that a writer
+// goroutine drains with one flush), and the counters every daemon keeps.
+// A daemon supplies only what differs: a Handler per connection and its
+// shutdown hooks.
 package daemon
 
 import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -27,8 +27,9 @@ type Config struct {
 	// IdleTimeout bounds how long a connection may take to deliver its
 	// next complete request frame (default 2 minutes; negative disables).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write+flush (default 30 seconds;
-	// negative disables).
+	// WriteTimeout bounds each write+flush of a connection's queued
+	// responses; a write that runs past it ends the connection (default
+	// 30 seconds; negative disables).
 	WriteTimeout time.Duration
 	// MaxDim, if positive, bounds each request's operand slabs in
 	// expansion elements. The decoder applies it from the frame header
@@ -256,13 +257,12 @@ type Conn struct {
 	// 0.75× and 1× the configured timeout — the guarantee never loosens.
 	rArmed time.Time
 
-	wmu    sync.Mutex
-	bw     *bufio.Writer
-	wArmed time.Time
-
 	// The queued writer (QueueResponse). Producers append to queue under
 	// qmu; the writer goroutine, started by the first of them, takes the
-	// whole queue at once and writes it through bw under wmu.
+	// whole queue at once and writes it through bw, which only it
+	// touches, as it does wArmed.
+	bw       *bufio.Writer
+	wArmed   time.Time
 	qmu      sync.Mutex
 	queue    []wire.Response
 	qstarted bool          // the writer goroutine runs
@@ -331,16 +331,18 @@ func (c *Conn) serve(h Handler) {
 		d.cfg.Stats.Requests.Add(1)
 		switch {
 		case d.isDraining():
-			c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 1000})
+			// Queued, then written by stopWriter on the way out.
+			c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMs: 1000})
 			return
 		case oversized || req.Validate() != nil:
+			// The frame was read whole, so the stream is still aligned:
+			// answer and read on.
 			d.cfg.Stats.ProtocolErrors.Add(1)
-			err = c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
+			c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
 		default:
-			err = h.Handle(req)
-		}
-		if err != nil {
-			return
+			if h.Handle(req) != nil {
+				return
+			}
 		}
 	}
 }
@@ -355,61 +357,14 @@ func (c *Conn) RequestContext(req *wire.Request) (context.Context, context.Cance
 	return context.WithDeadline(c.d.ctx, req.Deadline)
 }
 
-// lockWriter takes the write lock and arms the write deadline (coarsely,
-// like the read side).
-func (c *Conn) lockWriter() {
-	c.wmu.Lock()
-	if t := c.d.cfg.WriteTimeout; t > 0 {
-		if now := time.Now(); now.Sub(c.wArmed) > t/4 {
-			c.wArmed = now
-			c.nc.SetWriteDeadline(now.Add(t))
-		}
-	}
-}
-
-// WriteResponse writes resp and flushes. Write errors are swallowed (the
-// reader goroutine observes the broken connection and tears down); the
-// error return only signals "stop serving this conn".
-func (c *Conn) WriteResponse(resp *wire.Response) error {
-	c.lockWriter()
-	defer c.wmu.Unlock()
-	if err := wire.WriteResponse(c.bw, resp); err != nil {
-		return fmt.Errorf("write response: %w", err)
-	}
-	c.d.cfg.Stats.Responses.Add(1)
-	return c.bw.Flush()
-}
-
-// WriteResponses writes a group of responses and flushes once: one lock
-// hold, one counter update, one syscall for the whole group. It returns
-// the first write error; the server's lanes ignore it, as WriteResponse
-// callers do.
-func (c *Conn) WriteResponses(resps []wire.Response) error {
-	c.lockWriter()
-	n := 0
-	var err error
-	for i := range resps {
-		if err = wire.WriteResponse(c.bw, &resps[i]); err != nil {
-			break
-		}
-		n++
-	}
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	c.d.cfg.Stats.Responses.Add(int64(n))
-	return err
-}
-
 // QueueResponse hands resp to the connection's writer goroutine and
 // returns without touching the socket, so it never blocks on the peer.
-// The writer takes everything queued at once and writes it with one
-// flush. It is for responses that arrive one at a time from many
-// goroutines (the proxy's upstream completions), where a locked write
-// per response would cost a syscall each and stall each producer behind
-// a slow peer. Once the connection has ended, or its writer has failed,
-// responses are dropped. Write errors and WriteTimeout end the
+// It is the only way a daemon answers: the writer takes everything
+// queued at once and writes it with one flush, so responses that arrive
+// together from many goroutines (lanes flushing on one timer tick,
+// upstream completions) share a syscall, and a slow peer stalls only
+// its own writer. Once the connection has ended, or its writer has
+// failed, responses are dropped. Write errors and WriteTimeout end the
 // connection.
 func (c *Conn) QueueResponse(resp *wire.Response) {
 	c.qmu.Lock()
@@ -456,7 +411,7 @@ func (c *Conn) writeLoop() {
 			for i := range batch {
 				n += int64(wire.ResponseSize(&batch[i]))
 			}
-			err := c.WriteResponses(batch)
+			err := c.writeResponses(batch)
 			clear(batch) // release the response slabs
 			c.queued.Add(-n)
 			wake(c.room)
@@ -474,6 +429,33 @@ func (c *Conn) writeLoop() {
 			return
 		}
 	}
+}
+
+// writeResponses writes a drained batch and flushes once: one counter
+// update and one syscall for the whole batch (more only for a response
+// too large for the buffer, which streams straight from its slab). It
+// arms the write deadline coarsely, like the read side, and returns the
+// first write error.
+func (c *Conn) writeResponses(resps []wire.Response) error {
+	if t := c.d.cfg.WriteTimeout; t > 0 {
+		if now := time.Now(); now.Sub(c.wArmed) > t/4 {
+			c.wArmed = now
+			c.nc.SetWriteDeadline(now.Add(t))
+		}
+	}
+	n := 0
+	var err error
+	for i := range resps {
+		if err = wire.WriteResponse(c.bw, &resps[i]); err != nil {
+			break
+		}
+		n++
+	}
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	c.d.cfg.Stats.Responses.Add(int64(n))
+	return err
 }
 
 // waitRoom parks the reader while more than maxQueued bytes of responses

@@ -1,6 +1,7 @@
 package daemon_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -88,6 +89,24 @@ func validFrame(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// roundTrip writes req and returns its answer, failing unless one
+// carrying req's ID arrives within a few seconds.
+func roundTrip(t *testing.T, nc net.Conn, br *bufio.Reader, req *wire.Request) *wire.Response {
+	t.Helper()
+	if err := wire.WriteRequest(nc, req); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := wire.ReadResponse(br)
+	if err != nil {
+		t.Fatalf("request %d: no answer: %v", req.ID, err)
+	}
+	if resp.ID != req.ID {
+		t.Fatalf("request %d: answer carries id %d", req.ID, resp.ID)
+	}
+	return resp
+}
+
 // waitClosed fails unless the peer closes nc within a few seconds.
 func waitClosed(t *testing.T, nc net.Conn) {
 	t.Helper()
@@ -141,6 +160,24 @@ func TestDaemonEdges(t *testing.T) {
 			waitFor(t, "ProtocolErrors", d.protocolErrors, 1)
 			if got := d.checksumErrors.Load(); got != 0 {
 				t.Fatalf("ChecksumErrors = %d, want 0", got)
+			}
+		}},
+		{"bad-request", 0, func(t *testing.T, d daemonUnderTest) {
+			nc := serve(t, d)
+			br := bufio.NewReader(nc)
+			// An Add with a nonzero M decodes but fails Validate: the read
+			// loop answers it and reads on.
+			x, y := []float64{1, 0}, []float64{2, 0}
+			if resp := roundTrip(t, nc, br, &wire.Request{ID: 7, Op: wire.OpAdd, Width: 2, Count: 1, M: 1, X: x, Y: y}); resp.Status != wire.StatusBadRequest {
+				t.Fatalf("status %v, want %v", resp.Status, wire.StatusBadRequest)
+			}
+			waitFor(t, "ProtocolErrors", d.protocolErrors, 1)
+			// The next frame is one both daemons answer themselves: the
+			// server computes it, and the proxy rejects it as a loop
+			// without forwarding.
+			roundTrip(t, nc, br, &wire.Request{ID: 8, Op: wire.OpAdd, Width: 2, Count: 1, Hops: wire.MaxProxyHops, X: x, Y: y})
+			if got := d.protocolErrors.Load(); got != 1 {
+				t.Fatalf("ProtocolErrors = %d after a valid frame, want 1", got)
 			}
 		}},
 		{"idle-timeout", 100 * time.Millisecond, func(t *testing.T, d daemonUnderTest) {

@@ -15,9 +15,10 @@ import (
 // deadline would otherwise pass while waiting (fail-fast: an expired
 // request is answered without executing). One flush concatenates every
 // member's operands into a single slab, runs the elementwise kernel once
-// across the worker pool, then splits the result back per request —
-// amortizing scheduling, kernel dispatch, and (because all responses to
-// one connection share a single buffered flush) response syscalls.
+// across the worker pool, then scatters each member's result back into
+// its own operand slab — amortizing scheduling and kernel dispatch. The
+// answers go to each member connection's queued writer, never to the
+// socket, so a lane never waits on a peer.
 
 type laneKey struct {
 	op    wire.Op
@@ -57,7 +58,7 @@ func (l *lane) enqueue(p *pending) {
 		if retry == 0 {
 			retry = 1
 		}
-		p.c.WriteResponse(&wire.Response{ID: p.id, Status: wire.StatusOverloaded, RetryAfterMs: retry})
+		p.c.QueueResponse(&wire.Response{ID: p.id, Status: wire.StatusOverloaded, RetryAfterMs: retry})
 		p.cancel()
 		return
 	}
@@ -143,25 +144,22 @@ func (l *lane) drain() {
 }
 
 // soaBatch is one flush's pooled slab assembly: a single backing buffer
-// partitioned into the x, y, z component planes of a width-w SoA slab
-// plus the interleaved output area the responses point into. Recycling
-// the whole assembly keeps the flush path allocation-free in steady
-// state (the map and Response headers in exec are the only per-flush
-// allocations left).
+// partitioned into the x, y, z component planes of a width-w SoA slab.
+// Recycling it keeps the flush path's slab memory allocation-free in
+// steady state; the results leave it at the scatter, so no response
+// points into it.
 type soaBatch struct {
 	buf     []float64
 	x, y, z blas.SoA
-	out     []float64
 }
 
 var soaBatchPool = sync.Pool{New: func() any { return new(soaBatch) }}
 
 // getSoABatch returns an assembly sized for elems width-w expansions:
-// planes x[j], y[j], z[j] (j < w; the rest nil) of elems values each,
-// and out with room for the elems·w interleaved results.
+// planes x[j], y[j], z[j] (j < w; the rest nil) of elems values each.
 func getSoABatch(w, elems int) *soaBatch {
 	b := soaBatchPool.Get().(*soaBatch)
-	need := 4 * w * elems
+	need := 3 * w * elems
 	if cap(b.buf) < need {
 		b.buf = make([]float64, need)
 	}
@@ -175,7 +173,6 @@ func getSoABatch(w, elems int) *soaBatch {
 			b.x[j], b.y[j], b.z[j] = nil, nil, nil
 		}
 	}
-	b.out = buf[3*w*elems : 4*w*elems]
 	return b
 }
 
@@ -196,11 +193,12 @@ func gatherSoA(dst *blas.SoA, w, off int, src []float64) {
 	}
 }
 
-// scatterSoA interleaves elems results from the z planes into the
-// wire-format output slab.
-func scatterSoA(dst []float64, w int, src *blas.SoA, elems int) {
+// scatterSoA is gatherSoA's inverse: it interleaves len(dst)/w results
+// from the planes, starting at element offset off, into dst.
+func scatterSoA(dst []float64, w, off int, src *blas.SoA) {
+	n := len(dst) / w
 	for j := 0; j < w; j++ {
-		p := src[j][:elems]
+		p := src[j][off : off+n]
 		for i, v := range p {
 			dst[i*w+j] = v
 		}
@@ -209,14 +207,15 @@ func scatterSoA(dst []float64, w int, src *blas.SoA, elems int) {
 
 // exec runs one batch: expired members are answered StatusDeadlineExceeded
 // without executing (their ctx carries the per-request deadline); live
-// members' operands are gathered into one SoA slab, executed once across
-// the pool by the generated lane kernels, and the results scattered back.
-// Responses are buffered per connection and each touched connection is
-// flushed exactly once.
+// members' operands are gathered into one SoA slab and executed once
+// across the pool by the generated lane kernels. Each live member's
+// result is scattered into its own x operand slab — a fresh decoded slab
+// per frame, exactly count·w long and unread after the gather — which
+// its answer then carries. Every answer is queued on its connection's
+// writer, which drains all that is queued with one flush.
 func (l *lane) exec(batch []*pending) {
 	live := batch[:0:len(batch)]
 	var elems int
-	byConn := make(map[*srvConn][]wire.Response, 2)
 	now := time.Now()
 	for _, p := range batch {
 		// The wall-clock check matters when this flush was pulled forward to
@@ -228,49 +227,37 @@ func (l *lane) exec(batch []*pending) {
 		}
 		if expired {
 			l.s.stats.DeadlineMisses.Add(1)
-			byConn[p.c] = append(byConn[p.c], wire.Response{ID: p.id, Status: wire.StatusDeadlineExceeded})
+			p.c.QueueResponse(&wire.Response{ID: p.id, Status: wire.StatusDeadlineExceeded})
 			p.cancel()
 			continue
 		}
 		live = append(live, p)
 		elems += p.count
 	}
-	var sb *soaBatch
-	if len(live) > 0 {
-		l.s.stats.Batches.Add(1)
-		l.s.stats.BatchedReqs.Add(int64(len(live)))
-		l.s.stats.BatchedElems.Add(int64(elems))
-		w := l.width
-		sb = getSoABatch(w, elems)
-		unary := l.op.Unary()
-		off := 0
-		for _, p := range live {
-			gatherSoA(&sb.x, w, off, p.x)
-			if !unary {
-				gatherSoA(&sb.y, w, off, p.y)
-			}
-			off += p.count
+	if len(live) == 0 {
+		return
+	}
+	l.s.stats.Batches.Add(1)
+	l.s.stats.BatchedReqs.Add(int64(len(live)))
+	l.s.stats.BatchedElems.Add(int64(elems))
+	w := l.width
+	sb := getSoABatch(w, elems)
+	unary := l.op.Unary()
+	off := 0
+	for _, p := range live {
+		gatherSoA(&sb.x, w, off, p.x)
+		if !unary {
+			gatherSoA(&sb.y, w, off, p.y)
 		}
-		execSoASlab(l.op, w, &sb.x, &sb.y, &sb.z, elems, l.s.cfg.Workers)
-		scatterSoA(sb.out, w, &sb.z, elems)
-		fo := 0
-		for _, p := range live {
-			n := p.count * w
-			byConn[p.c] = append(byConn[p.c], wire.Response{ID: p.id, Status: wire.StatusOK, Data: sb.out[fo : fo+n]})
-			fo += n
-			p.cancel()
-		}
+		off += p.count
 	}
-	// One writer-lock hold, one counter update, and one flush per touched
-	// connection, however many batch members it contributed.
-	for c, resps := range byConn {
-		c.WriteResponses(resps)
+	execSoASlab(l.op, w, &sb.x, &sb.y, &sb.z, elems, l.s.cfg.Workers)
+	off = 0
+	for _, p := range live {
+		scatterSoA(p.x, w, off, &sb.z)
+		off += p.count
+		p.c.QueueResponse(&wire.Response{ID: p.id, Status: wire.StatusOK, Data: p.x})
+		p.cancel()
 	}
-	if sb != nil {
-		// Safe to recycle: WriteResponses has written each response's Data
-		// (into the connection's buffered writer, or for a slab larger than
-		// its free space straight through to the connection) before
-		// returning, so no reference to sb.out survives the loop above.
-		putSoABatch(sb)
-	}
+	putSoABatch(sb)
 }

@@ -51,11 +51,12 @@ type reduction struct {
 // before Put, so Get always yields an empty sum.
 var accPool = sync.Pool{New: func() any { return new(exact.Accumulator) }}
 
-// handleReduce processes one reduction chunk on the reader goroutine.
-func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
-	fail := func(status wire.Status) error {
+// handleReduce processes one reduction chunk on the reader goroutine
+// and returns its answer.
+func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) wire.Response {
+	fail := func(status wire.Status) wire.Response {
 		c.dropReduction(req.ID)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status})
+		return wire.Response{ID: req.ID, Status: status}
 	}
 	if ctx.Err() != nil {
 		c.s.stats.DeadlineMisses.Add(1)
@@ -83,7 +84,7 @@ func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
 	foldChunk(red, req, c.s.cfg.Workers)
 	c.s.stats.ReduceChunks.Add(1)
 	if req.M&wire.FlagReduceFinal == 0 {
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
+		return wire.Response{ID: req.ID, Status: wire.StatusOK}
 	}
 
 	delete(c.reds, req.ID)
@@ -100,10 +101,10 @@ func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
 	releaseAcc(red.acc)
 	if ctx.Err() != nil {
 		c.s.stats.DeadlineMisses.Add(1)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
+		return wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded}
 	}
 	c.s.stats.Reductions.Add(1)
-	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
+	return wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out}
 }
 
 // foldChunk folds one request's operand slab into the reduction's

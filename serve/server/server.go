@@ -11,11 +11,11 @@
 // lane flushes (batch full, window expired, or a member deadline
 // imminent). BLAS requests (Axpy/Dot/Gemv/Gemm) are
 // already slab-shaped, so they execute immediately on the reader
-// goroutine against the specialized parallel kernels. All responses to a
-// connection are serialized through its buffered writer; a batch flush
-// writes every member response and performs one flush per touched
-// connection, which is where batching pays on the wire as well as in the
-// kernels.
+// goroutine against the specialized parallel kernels. Every response is
+// queued on its connection's writer goroutine (serve/internal/daemon),
+// which writes all that is queued with one flush. The lanes flush
+// together on one shared timer tick, so their answers to a connection
+// share a write, and neither a lane nor a reader ever waits on a peer.
 package server
 
 import (
@@ -61,8 +61,9 @@ type Config struct {
 	// stalls), so a slow-loris peer cannot pin a reader goroutine forever.
 	// 0 takes the default (2 minutes); negative disables the timeout.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write+flush, so a peer that stops
-	// reading cannot block a lane's batch goroutine on a full TCP window.
+	// WriteTimeout bounds each write+flush of a connection's queued
+	// responses, so a peer that stops reading has its connection closed
+	// rather than pinning its writer goroutine on a full TCP window.
 	// 0 takes the default (30 seconds); negative disables the timeout.
 	WriteTimeout time.Duration
 }
@@ -153,8 +154,9 @@ type srvConn struct {
 // Close releases the connection's open reductions.
 func (c *srvConn) Close() { c.dropAllReductions() }
 
-// Handle dispatches one validated request. A non-nil return closes the
-// connection.
+// Handle dispatches one validated request. Every answer goes to the
+// connection's queued writer, so Handle never waits on the peer and
+// never ends the connection.
 func (c *srvConn) Handle(req *wire.Request) error {
 	ctx, cancel := c.RequestContext(req)
 
@@ -166,26 +168,28 @@ func (c *srvConn) Handle(req *wire.Request) error {
 		c.s.lanes[laneKey{req.Op, req.Width}].enqueue(p)
 		return nil
 	}
+	defer cancel()
 
 	// Streaming reductions fold on the reader goroutine, keeping the
 	// per-connection accumulator state single-threaded.
 	if req.Op.Reduction() {
-		defer cancel()
-		return c.handleReduce(ctx, req)
+		resp := c.handleReduce(ctx, req)
+		c.QueueResponse(&resp)
+		return nil
 	}
 
 	// BLAS ops are already slab-shaped; execute on this goroutine.
-	defer cancel()
-	if ctx.Err() != nil {
-		c.s.stats.DeadlineMisses.Add(1)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
+	var out []float64
+	if ctx.Err() == nil {
+		out = execBlas(req, c.s.cfg.Workers)
 	}
-	out := execBlas(req, c.s.cfg.Workers)
 	if ctx.Err() != nil {
-		// Result computed but the deadline passed while computing: the
-		// client has given up; honor the contract and fail the request.
+		// Expired before executing, or while computing: the client has
+		// given up; honor the contract and fail the request.
 		c.s.stats.DeadlineMisses.Add(1)
-		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
+		c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
+		return nil
 	}
-	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
+	c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
+	return nil
 }

@@ -294,3 +294,50 @@ func TestShutdownDrains(t *testing.T) {
 		}
 	}
 }
+
+// TestSilentPeerDoesNotStallOthers: a connection that pipelines requests
+// whose answers overflow the socket buffers, and never reads them,
+// stalls only its own writer. Another connection's answers from the same
+// lane keep arriving, window after window, long before WriteTimeout.
+func TestSilentPeerDoesNotStallOthers(t *testing.T) {
+	blas.Parallel(4, 2, func(lo, hi int) {})
+	testutil.VerifyNoLeaks(t)
+	s := startTestServer(t, Config{BatchWindow: 20 * time.Millisecond, WriteTimeout: 10 * time.Second})
+	a, b := dialTest(t, s), dialTest(t, s)
+	// A small receive buffer makes a few unread answers fill A's socket.
+	a.nc.(*net.TCPConn).SetReadBuffer(1 << 16)
+
+	// Width-4 Adds of 1<<16 elements: 2 MiB per answer. One goroutine
+	// writes them, one per window, as long as the server reads them;
+	// closing A's connection at cleanup ends it.
+	const n = 1 << 16
+	big := wire.Request{Op: wire.OpAdd, Width: 4, Count: n, X: make([]float64, 4*n), Y: make([]float64, 4*n)}
+	sendA := make(chan uint64)
+	defer close(sendA)
+	go func() {
+		for id := range sendA {
+			big.ID = id
+			if wire.WriteRequest(a.bw, &big) != nil || a.bw.Flush() != nil {
+				return
+			}
+		}
+	}()
+
+	for k := uint64(0); k < 10; k++ {
+		select {
+		case sendA <- k:
+			time.Sleep(5 * time.Millisecond) // let A's request reach the lane first
+		case <-time.After(10 * time.Millisecond): // A's last write is stuck
+		}
+		b.send(t, &wire.Request{ID: k, Op: wire.OpAdd, Width: 4, Count: 1,
+			X: []float64{1, 0, 0, 0}, Y: []float64{2, 0, 0, 0}})
+		b.nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		resp, err := wire.ReadResponse(b.br)
+		if err != nil {
+			t.Fatalf("window %d: B's answer did not arrive within 2 s: %v", k, err)
+		}
+		if resp.ID != k || resp.Status != wire.StatusOK || len(resp.Data) != 4 || resp.Data[0] != 3 {
+			t.Fatalf("window %d: got id %d status %v data %v, want id %d ok [3 0 0 0]", k, resp.ID, resp.Status, resp.Data, k)
+		}
+	}
+}
