@@ -271,14 +271,3 @@ func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 	}
 	return l.std.ImportFrom(path, dir, mode)
 }
-
-// Packages returns every package the loader has loaded so far, sorted by
-// import path.
-func (l *Loader) Packages() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}

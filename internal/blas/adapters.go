@@ -6,25 +6,6 @@ import (
 	"multifloats/internal/mpfloat"
 )
 
-// Native wraps float64 with the Arith methods so the 53-bit baseline runs
-// through the same generic kernels as every other type.
-type Native float64
-
-// Add returns a + b.
-func (a Native) Add(b Native) Native { return a + b }
-
-// Mul returns a · b.
-func (a Native) Mul(b Native) Native { return a * b }
-
-// Native32 is the float32 analogue (the GPU base type of Figure 11).
-type Native32 float32
-
-// Add returns a + b.
-func (a Native32) Add(b Native32) Native32 { return a + b }
-
-// Mul returns a · b.
-func (a Native32) Mul(b Native32) Native32 { return a * b }
-
 // MP adapts internal/mpfloat's pointer API to the value-semantics Arith
 // contract. Every operation allocates a fresh result, which is the honest
 // cost profile of limb-based multiprecision libraries in inner loops.

@@ -65,14 +65,6 @@ func Gemm[E Arith[E]](a, b, c []E, n int) {
 	}
 }
 
-// GemmStrict is the bit-reproducible GEMM path: plain ikj accumulation,
-// identical operation order on every run and every worker count. The
-// blocked kernels in blocked.go are faster but associate the FPAN
-// accumulation differently (bounded rounding differences; see the package
-// comment there). Code that needs run-to-run bit identity — regression
-// baselines, cross-machine reproducibility — should call this.
-func GemmStrict[E Arith[E]](a, b, c []E, n int) { Gemm(a, b, c, n) }
-
 // Workers returns the worker count used by the parallel kernels.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 

@@ -109,13 +109,8 @@ func TestDotAgainstExact(t *testing.T) {
 	}
 	// Native float64 sanity.
 	{
-		xn := make([]Native, n)
-		yn := make([]Native, n)
-		for i := range xs {
-			xn[i], yn[i] = Native(xs[i]), Native(ys[i])
-		}
-		d := Dot(Native(0), xn, yn)
-		check("native", new(big.Float).SetPrec(600).SetFloat64(float64(d)), 30)
+		d := DotNative(xs, ys, 1)
+		check("native", new(big.Float).SetPrec(600).SetFloat64(d), 30)
 	}
 }
 
@@ -207,13 +202,11 @@ func TestDotIllConditioned(t *testing.T) {
 	x := []float64{1e16, 1, -1e16}
 	y := []float64{1, 0x1p-30, 1}
 	// Exact: 1e16·1 + 2^-30 - 1e16·1 = 2^-30.
-	xn := []Native{Native(x[0]), Native(x[1]), Native(x[2])}
-	yn := []Native{Native(y[0]), Native(y[1]), Native(y[2])}
-	dn := Dot(Native(0), xn, yn)
+	dn := DotNative(x, y, 1)
 	x2 := []mf.Float64x2{mf.New2(x[0]), mf.New2(x[1]), mf.New2(x[2])}
 	y2 := []mf.Float64x2{mf.New2(y[0]), mf.New2(y[1]), mf.New2(y[2])}
 	d2 := Dot(mf.Float64x2{}, x2, y2)
-	if float64(dn) == 0x1p-30 {
+	if dn == 0x1p-30 {
 		t.Skip("float64 got lucky")
 	}
 	if d2.Float() != 0x1p-30 {

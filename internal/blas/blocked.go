@@ -36,8 +36,8 @@ import (
 // into C once per (jc, pc) slab. Both choices keep every component
 // within the per-op error bound × accumulation depth of the naive
 // result (pinned by TestGemmBlockedMatchesNaive), but neither is
-// bit-identical to Mul-then-Add in the naive order. GemmStrict /
-// GemmF{2,3,4} remain the bit-reproducible reference path.
+// bit-identical to Mul-then-Add in the naive order. GemmF{2,3,4} and
+// GemvF{2,3,4} remain the bit-reproducible reference paths.
 //
 // The tiled GEMV kernels process gemvMR rows per pass over x. Each row
 // is accumulated left-to-right like DotF{2,3,4} but with the fused

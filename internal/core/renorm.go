@@ -11,14 +11,6 @@ import "multifloats/internal/eft"
 // tails: two bottom-up passes and (for four or more values) one top-down
 // error-propagation pass.
 
-// Renorm2 renormalizes (a0, a1) — arbitrary order and overlap — into a
-// nonoverlapping 2-term expansion.
-//
-//mf:branchfree
-func Renorm2[T eft.Float](a0, a1 T) (z0, z1 T) {
-	return eft.TwoSum(a0, a1)
-}
-
 // Renorm3to2 renormalizes three values into a 2-term expansion.
 //
 //mf:branchfree
@@ -58,38 +50,4 @@ func Renorm4[T eft.Float](a0, a1, a2, a3 T) (z0, z1, z2, z3 T) {
 	a1, a2 = eft.TwoSum(a1, a2)
 	a2, a3 = eft.TwoSum(a2, a3)
 	return a0, a1, a2, a3
-}
-
-// Renorm5to4 renormalizes five values into a 4-term expansion.
-//
-//mf:branchfree
-func Renorm5to4[T eft.Float](a0, a1, a2, a3, a4 T) (z0, z1, z2, z3 T) {
-	a3, a4 = eft.TwoSum(a3, a4)
-	a2, a3 = eft.TwoSum(a2, a3)
-	a1, a2 = eft.TwoSum(a1, a2)
-	a0, a1 = eft.TwoSum(a0, a1)
-	a3, a4 = eft.TwoSum(a3, a4)
-	a2, a3 = eft.TwoSum(a2, a3)
-	a1, a2 = eft.TwoSum(a1, a2)
-	a0, a1 = eft.TwoSum(a0, a1)
-	a0, a1 = eft.TwoSum(a0, a1)
-	a1, a2 = eft.TwoSum(a1, a2)
-	a2, a3 = eft.TwoSum(a2, a3)
-	a3 = a3 + a4
-	return a0, a1, a2, a3
-}
-
-// Renorm4to3 renormalizes four values into a 3-term expansion.
-//
-//mf:branchfree
-func Renorm4to3[T eft.Float](a0, a1, a2, a3 T) (z0, z1, z2 T) {
-	a2, a3 = eft.TwoSum(a2, a3)
-	a1, a2 = eft.TwoSum(a1, a2)
-	a0, a1 = eft.TwoSum(a0, a1)
-	a2, a3 = eft.TwoSum(a2, a3)
-	a1, a2 = eft.TwoSum(a1, a2)
-	a0, a1 = eft.TwoSum(a0, a1)
-	a1, a2 = eft.TwoSum(a1, a2)
-	a2 = a2 + a3
-	return a0, a1, a2
 }

@@ -63,14 +63,11 @@ func AugmentedMul(x, y float64) (p, e float64) {
 		// compute 0 - 0 and lose the sign; the product's own sign stands.
 		return p, 0
 	}
-	e = FMA64(x, y, -p)
+	e = math.FMA(x, y, -p)
 	if math.IsNaN(e) || math.IsInf(e, 0) {
 		// p near the overflow threshold: recompute the residual at half
 		// scale (exact, since scaling by 2 is exact).
-		e = FMA64(x*0.5, y, -p*0.5) * 2
+		e = math.FMA(x*0.5, y, -p*0.5) * 2
 	}
 	return p, e
 }
-
-// FMA64 is math.FMA, named for symmetry with FMA32.
-func FMA64(x, y, z float64) float64 { return math.FMA(x, y, z) }

@@ -159,29 +159,3 @@ func TwoProdDekker[T Float](x, y T) (p, e T) {
 	e = ((T(xh*yh) - p) + T(xh*yl) + T(xl*yh)) + T(xl*yl)
 	return p, e
 }
-
-// TwoDiff returns (d, e) with d = RN(x-y) and e = (x-y) - d exactly.
-// It is TwoSum applied to (x, -y); 6 FLOPs, branch-free.
-//
-//mf:branchfree
-func TwoDiff[T Float](x, y T) (d, e T) {
-	d = x - y
-	xEff := d + y
-	yEff := xEff - d
-	dx := x - xEff
-	dy := yEff - y
-	e = dx + dy
-	return d, e
-}
-
-// ThreeSum sums a, b, c into a two-term result (s, e) with s = RN-accurate
-// leading part and e a first-order error term; the second-order error is
-// discarded. 2 TwoSum + 1 add = 13 FLOPs. Used by accumulation kernels.
-//
-//mf:branchfree
-func ThreeSum[T Float](a, b, c T) (s, e T) {
-	t, u := TwoSum(a, b)
-	s, v := TwoSum(t, c)
-	e = u + v
-	return s, e
-}

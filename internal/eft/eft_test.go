@@ -152,23 +152,6 @@ func TestSplitProperties(t *testing.T) {
 	}
 }
 
-func TestTwoDiffExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 100000; i++ {
-		x, y := randFloat64(rng), randFloat64(rng)
-		if i%2 == 0 {
-			y = x * (1 + float64(rng.Intn(8))*0x1p-52)
-		}
-		d, e := TwoDiff(x, y)
-		if d != x-y {
-			t.Fatalf("TwoDiff(%g,%g): d=%g want %g", x, y, d, x-y)
-		}
-		if !exactSum64(x, -y, d, e) {
-			t.Fatalf("TwoDiff(%g,%g): d+e != x-y", x, y)
-		}
-	}
-}
-
 // refFMA32 computes the correctly rounded float32 FMA via math/big.
 func refFMA32(x, y, z float32) float32 {
 	bx := new(big.Float).SetPrec(200).SetFloat64(float64(x))
@@ -225,35 +208,6 @@ func TestFMA32SubnormalResults(t *testing.T) {
 		want := refFMA32(x, y, z)
 		if got != want {
 			t.Fatalf("FMA32(%g,%g,%g) = %g, want %g (subnormal case)", x, y, z, got, want)
-		}
-	}
-}
-
-func TestThreeSumAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100000; i++ {
-		a, b, c := randFloat64(rng), randFloat64(rng), randFloat64(rng)
-		s, e := ThreeSum(a, b, c)
-		// s must equal the rounded sum of the three to within one rounding,
-		// and s+e must carry at least ~2p bits of the exact sum.
-		exact := new(big.Float).SetPrec(300).SetFloat64(a)
-		exact.Add(exact, new(big.Float).SetPrec(300).SetFloat64(b))
-		exact.Add(exact, new(big.Float).SetPrec(300).SetFloat64(c))
-		approx := new(big.Float).SetPrec(300).SetFloat64(s)
-		approx.Add(approx, new(big.Float).SetPrec(300).SetFloat64(e))
-		diff := new(big.Float).SetPrec(300).Sub(exact, approx)
-		if diff.Sign() == 0 {
-			continue
-		}
-		mag := new(big.Float).SetPrec(300).Abs(exact)
-		if mag.Sign() == 0 {
-			continue
-		}
-		rel := new(big.Float).SetPrec(300).Quo(diff.Abs(diff), mag)
-		bound := new(big.Float).SetPrec(300).SetFloat64(0x1p-100)
-		if rel.Cmp(bound) > 0 {
-			relF, _ := rel.Float64()
-			t.Fatalf("ThreeSum(%g,%g,%g): relative error %g exceeds 2^-100", a, b, c, relF)
 		}
 	}
 }

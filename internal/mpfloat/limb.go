@@ -27,15 +27,6 @@ func subVV(a, b []uint64) (borrow uint64) {
 	return borrow
 }
 
-// addW adds a single word into a, returning the carry.
-func addW(a []uint64, w uint64) uint64 {
-	c := w
-	for i := 0; i < len(a) && c != 0; i++ {
-		a[i], c = bits.Add64(a[i], c, 0)
-	}
-	return c
-}
-
 // shrSticky shifts a right by k bits in place and reports whether any
 // nonzero bit was shifted out (the sticky bit). 0 ≤ k unbounded.
 func shrSticky(a []uint64, k int) (sticky bool) {

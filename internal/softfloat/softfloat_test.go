@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"multifloats/internal/fpan"
+	"multifloats/internal/mpfloat"
 )
 
 func TestRNEAgainstBruteForce(t *testing.T) {
@@ -69,6 +70,29 @@ func TestTwoSumErrorRepresentable(t *testing.T) {
 		}
 		if !Representable(e, p) {
 			t.Fatalf("TwoSum error %d not representable at p=%d (a=%d b=%d)", e, p, a, b)
+		}
+	}
+}
+
+// TestNumMatchesRNEModel cross-checks the verifier's rounding against an
+// independent implementation: RNE of the exact int64 sum and product of
+// two p-bit values must equal internal/mpfloat's correctly rounded Add
+// and Mul at the same precision.
+func TestNumMatchesRNEModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, p := range []uint{3, 4, 5} {
+		for i := 0; i < 100000; i++ {
+			a, b := randP(rng, p, 30), randP(rng, p, 30)
+			want := mpfloat.New(p).Add(mpfloat.New(p).SetInt64(a), mpfloat.New(p).SetInt64(b))
+			if got := RNE(a+b, p); float64(got) != want.Float64() {
+				t.Fatalf("p=%d: RNE(%d + %d) = %d, mpfloat gives %g", p, a, b, got, want.Float64())
+			}
+			// Exponents below 20 keep the exact product inside int64.
+			a, b = randP(rng, p, 20), randP(rng, p, 20)
+			want = mpfloat.New(p).Mul(mpfloat.New(p).SetInt64(a), mpfloat.New(p).SetInt64(b))
+			if got := RNE(a*b, p); float64(got) != want.Float64() {
+				t.Fatalf("p=%d: RNE(%d · %d) = %d, mpfloat gives %g", p, a, b, got, want.Float64())
+			}
 		}
 	}
 }

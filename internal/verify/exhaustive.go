@@ -506,13 +506,3 @@ func Exhaustive(prog *fpan.Program, spec *fpan.Spec, opt *ExhaustiveOptions) (*E
 		MaxBand:    cp.MaxBand,
 	}, nil
 }
-
-// SpaceSize reports the total case count of a spec's enumeration space
-// without running it (planning / docs).
-func SpaceSize(spec *fpan.Spec) (int64, error) {
-	sp, err := buildSpace(spec)
-	if err != nil {
-		return 0, err
-	}
-	return sp.total, nil
-}
