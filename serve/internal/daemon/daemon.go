@@ -51,9 +51,9 @@ type Config struct {
 // Handler serves the requests of one connection. Its methods run on the
 // connection's reader goroutine.
 type Handler interface {
-	// Handle serves one request that passed wire.Request.Validate. A
-	// non-nil return closes the connection.
-	Handle(req *wire.Request) error
+	// Handle serves one request that passed wire.Request.Validate. It
+	// answers through Conn.QueueResponse and must not block on the peer.
+	Handle(req *wire.Request)
 	// Close releases the handler's state once the connection has ended.
 	Close()
 }
@@ -340,9 +340,7 @@ func (c *Conn) serve(h Handler) {
 			d.cfg.Stats.ProtocolErrors.Add(1)
 			c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusBadRequest})
 		default:
-			if h.Handle(req) != nil {
-				return
-			}
+			h.Handle(req)
 		}
 	}
 }

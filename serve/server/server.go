@@ -155,9 +155,8 @@ type srvConn struct {
 func (c *srvConn) Close() { c.dropAllReductions() }
 
 // Handle dispatches one validated request. Every answer goes to the
-// connection's queued writer, so Handle never waits on the peer and
-// never ends the connection.
-func (c *srvConn) Handle(req *wire.Request) error {
+// connection's queued writer, so Handle never waits on the peer.
+func (c *srvConn) Handle(req *wire.Request) {
 	ctx, cancel := c.RequestContext(req)
 
 	if req.Op.Scalar() {
@@ -166,7 +165,7 @@ func (c *srvConn) Handle(req *wire.Request) error {
 			count: req.Count, x: req.X, y: req.Y,
 		}
 		c.s.lanes[laneKey{req.Op, req.Width}].enqueue(p)
-		return nil
+		return
 	}
 	defer cancel()
 
@@ -175,7 +174,7 @@ func (c *srvConn) Handle(req *wire.Request) error {
 	if req.Op.Reduction() {
 		resp := c.handleReduce(ctx, req)
 		c.QueueResponse(&resp)
-		return nil
+		return
 	}
 
 	// BLAS ops are already slab-shaped; execute on this goroutine.
@@ -188,8 +187,7 @@ func (c *srvConn) Handle(req *wire.Request) error {
 		// given up; honor the contract and fail the request.
 		c.s.stats.DeadlineMisses.Add(1)
 		c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
-		return nil
+		return
 	}
 	c.QueueResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
-	return nil
 }
