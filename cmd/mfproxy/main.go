@@ -55,7 +55,7 @@ func main() {
 		replayBudget  = flag.Int64("replay-budget", 32<<20, "bytes of reduction chunks buffered per stream for failover replay")
 		seed          = flag.Int64("seed", 0, "probe-jitter RNG seed (0 = time-based)")
 		idleTimeout   = flag.Duration("idle-timeout", 2*time.Minute, "close a downstream connection that takes longer than this to deliver its next frame (negative = never)")
-		writeTimeout  = flag.Duration("write-timeout", 30*time.Second, "per-response write budget (negative = never)")
+		writeTimeout  = flag.Duration("write-timeout", 30*time.Second, "bound on each write+flush of a downstream connection's queued responses; a peer that stops reading is cut off after 0.75-1x of it (negative = never)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	)
 	flag.Parse()

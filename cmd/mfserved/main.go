@@ -44,7 +44,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "kernel worker parallelism (0 = GOMAXPROCS)")
 		maxDim       = flag.Int("max-dim", 1<<20, "max expansion elements per request slab")
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "close a connection that takes longer than this to deliver its next frame (negative = never)")
-		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "per-response write budget; a peer that stops reading is cut off (negative = never)")
+		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "bound on each write+flush of a connection's queued responses; a peer that stops reading is cut off after 0.75-1x of it (negative = never)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	)
 	flag.Parse()
