@@ -38,9 +38,9 @@ var daemons = []struct {
 			&st.ChecksumErrors, &st.ProtocolErrors, &st.IdleTimeouts, &st.ActiveConns}
 	}},
 	{"proxy", func(t *testing.T, idle time.Duration) daemonUnderTest {
-		// Backends dial lazily and no case forwards a request, so the
-		// backend address is never contacted.
-		p, err := proxy.New(proxy.Config{Backends: []string{"127.0.0.1:1"}, IdleTimeout: idle})
+		// Backends dial lazily, so only a case that forwards a request
+		// contacts the backend.
+		p, err := proxy.New(proxy.Config{Backends: []string{backend(t)}, IdleTimeout: idle})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,6 +48,29 @@ var daemons = []struct {
 		return daemonUnderTest{p.ServeListener, p.Shutdown,
 			&st.ChecksumErrors, &st.ProtocolErrors, &st.IdleTimeouts, &st.ActiveConns}
 	}},
+}
+
+// backend starts a server on loopback for a proxy to forward to and
+// returns its address. Cleanup shuts it down.
+func backend(t *testing.T) string {
+	t.Helper()
+	s := server.New(server.Config{})
+	if err := s.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve() }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("backend Shutdown: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("backend Serve: %v", err)
+		}
+	})
+	return s.Addr().String()
 }
 
 // serve starts d on a loopback listener and returns a connection to it.
@@ -178,6 +201,39 @@ func TestDaemonEdges(t *testing.T) {
 			roundTrip(t, nc, br, &wire.Request{ID: 8, Op: wire.OpAdd, Width: 2, Count: 1, Hops: wire.MaxProxyHops, X: x, Y: y})
 			if got := d.protocolErrors.Load(); got != 1 {
 				t.Fatalf("ProtocolErrors = %d after a valid frame, want 1", got)
+			}
+		}},
+		{"open-reductions", 0, func(t *testing.T, d daemonUnderTest) {
+			nc := serve(t, d)
+			br := bufio.NewReader(nc)
+			chunk := func(id uint64, final bool) *wire.Request {
+				req := &wire.Request{ID: id, Op: wire.OpSumExact, Width: 1, Count: 1, X: []float64{float64(id)}}
+				if final {
+					req.M = wire.FlagReduceFinal
+				}
+				return req
+			}
+			for id := uint64(1); id <= wire.MaxOpenReductions; id++ {
+				if resp := roundTrip(t, nc, br, chunk(id, false)); resp.Status != wire.StatusOK {
+					t.Fatalf("stream %d: status %v, want %v", id, resp.Status, wire.StatusOK)
+				}
+			}
+			over := uint64(wire.MaxOpenReductions + 1)
+			if resp := roundTrip(t, nc, br, chunk(over, false)); resp.Status != wire.StatusBadRequest {
+				t.Fatalf("stream %d past the cap: status %v, want %v", over, resp.Status, wire.StatusBadRequest)
+			}
+			waitFor(t, "ProtocolErrors", d.protocolErrors, 1)
+			// The connection still serves: stream 1 completes with the sum
+			// of its two chunks, which frees a slot for the refused stream.
+			resp := roundTrip(t, nc, br, chunk(1, true))
+			if resp.Status != wire.StatusOK || len(resp.Data) != 1 || resp.Data[0] != 2 {
+				t.Fatalf("stream 1 final: status %v data %v, want %v [2]", resp.Status, resp.Data, wire.StatusOK)
+			}
+			if resp := roundTrip(t, nc, br, chunk(over, false)); resp.Status != wire.StatusOK {
+				t.Fatalf("stream %d after a slot freed: status %v, want %v", over, resp.Status, wire.StatusOK)
+			}
+			if got := d.protocolErrors.Load(); got != 1 {
+				t.Fatalf("ProtocolErrors = %d, want 1", got)
 			}
 		}},
 		{"idle-timeout", 100 * time.Millisecond, func(t *testing.T, d daemonUnderTest) {

@@ -32,10 +32,6 @@ import (
 // whole-stream retry is the backstop. A completed response is never
 // built from a partial fold.
 
-// maxOpenReductions caps concurrent reduction streams per downstream
-// connection, as in serve/server.
-const maxOpenReductions = 256
-
 // errReduceFailover: a shard died and could not be resharded (budget
 // exhausted, or no backend left to replay to). Surfaced downstream as
 // StatusOverloaded so the client restarts the whole stream.
@@ -92,7 +88,7 @@ func (c *pxConn) handleReduce(req *wire.Request) {
 	red := c.reds[req.ID]
 	switch {
 	case red == nil:
-		if len(c.reds) >= maxOpenReductions {
+		if len(c.reds) >= wire.MaxOpenReductions {
 			c.p.stats.ProtocolErrors.Add(1)
 			fail(wire.StatusBadRequest, 0)
 			return

@@ -21,11 +21,6 @@ import (
 // merge-associative (internal/exact), the response is bit-identical
 // for every chunk split, chunk arrival order, and fold parallelism.
 
-// maxOpenReductions caps concurrent reduction streams per connection so
-// a hostile peer cannot pin unbounded accumulator memory by opening
-// streams it never finishes (each accumulator is ~1 KiB).
-const maxOpenReductions = 256
-
 // The wire protocol promises a raw-final reduction response is exactly
 // one serialized accumulator. wire must not import internal/exact (it
 // is protocol-only), so the equality is asserted here, where both sides
@@ -65,7 +60,7 @@ func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) wire.Resp
 	red := c.reds[req.ID]
 	switch {
 	case red == nil:
-		if len(c.reds) >= maxOpenReductions {
+		if len(c.reds) >= wire.MaxOpenReductions {
 			c.s.stats.ProtocolErrors.Add(1)
 			return fail(wire.StatusBadRequest)
 		}

@@ -165,6 +165,12 @@ const FlagReduceRaw = 2
 // for misconfigured proxy tiers — see Request.Hops).
 const MaxProxyHops = 3
 
+// MaxOpenReductions caps the reduction streams one connection may hold
+// open at a server or proxy, so a hostile peer cannot pin unbounded
+// accumulator memory by opening streams it never finishes. The first
+// chunk of a stream past the cap is answered StatusBadRequest.
+const MaxOpenReductions = 256
+
 // ReduceRawElems is the float64 word count of a raw reduction result:
 // the serialized superaccumulator a FlagReduceRaw final chunk returns.
 // It must equal exact.EncodedWords — serve/server asserts the equality
