@@ -288,9 +288,8 @@ func (c *Client) do(ctx context.Context, req *wire.Request) ([]float64, error) {
 // exchange. This is the synchronous forwarding primitive for wire-aware
 // callers: req's Op/Width/Count/M/Hops and operand slabs are sent as
 // given, while ID is assigned fresh per attempt and Deadline is taken
-// from ctx (any caller-set values are ignored). Failed attempts of a
-// non-scalar request may leave req mutated; callers must not reuse the
-// struct concurrently.
+// from ctx (any caller-set values are ignored). Do never writes to
+// *req: each attempt sends a copy.
 func (c *Client) Do(ctx context.Context, req *wire.Request) ([]float64, error) {
 	return c.do(ctx, req)
 }
@@ -316,8 +315,7 @@ func (c *Client) Do(ctx context.Context, req *wire.Request) ([]float64, error) {
 // stay unchanged until done runs.
 func (c *Client) Go(ctx context.Context, req *wire.Request, done func([]float64, error)) {
 	if !req.Op.Scalar() {
-		f := *req
-		go func() { done(c.Do(ctx, &f)) }()
+		go func() { done(c.Do(ctx, req)) }()
 		return
 	}
 	if err := ctx.Err(); err != nil {
@@ -560,16 +558,17 @@ func (pc *poolConn) recv(id uint64) (*wire.Response, error) {
 // try performs a single attempt of a non-scalar request on one pooled
 // connection.
 func (c *Client) try(ctx context.Context, req *wire.Request) ([]float64, error) {
-	req.ID = c.nextID.Add(1)
-	req.Deadline = ctxDeadline(ctx)
-	resp, err := c.exchangePooled(req)
+	f := *req
+	f.ID = c.nextID.Add(1)
+	f.Deadline = ctxDeadline(ctx)
+	resp, err := c.exchangePooled(&f)
 	if err != nil {
 		return nil, err
 	}
 	if err := statusErr(resp); err != nil {
 		return nil, err
 	}
-	return checkSlab(resp.Data, wire.RespElems(req.Op, req.Width, req.Count, req.M))
+	return checkSlab(resp.Data, wire.RespElems(f.Op, f.Width, f.Count, f.M))
 }
 
 // exchangePooled sends req on a pooled connection and reads its

@@ -271,6 +271,49 @@ func wantErr(target error, retryable bool) func(int, []float64, error) error {
 	}
 }
 
+// TestDoLeavesRequestUnchanged: Do on a BLAS request, which runs on a
+// pooled connection, never writes the caller's *req. Each attempt, a
+// retried one too, goes out with its own ID and the ctx's deadline.
+func TestDoLeavesRequestUnchanged(t *testing.T) {
+	ctxDeadline := time.Now().Add(time.Hour)
+	ids := make(chan uint64, 8) // room for every attempt the retry budget allows
+	fs := newFakeServer(t, func(n int64, req *wire.Request) *wire.Response {
+		ids <- req.ID
+		if !req.Deadline.Equal(ctxDeadline) {
+			return &wire.Response{Status: wire.StatusBadRequest}
+		}
+		if n == 1 {
+			return &wire.Response{Status: wire.StatusOverloaded}
+		}
+		return &wire.Response{Status: wire.StatusOK, Data: make([]float64, 2)}
+	})
+	c, err := Dial(fs.ln.Addr().String(), WithLazyDial(), WithBackoff(time.Millisecond, 5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithDeadline(context.Background(), ctxDeadline)
+	defer cancel()
+
+	callerDeadline := time.Now().Add(time.Minute)
+	req := &wire.Request{ID: 42, Deadline: callerDeadline, Op: wire.OpDot, Width: 2, Count: 1,
+		X: []float64{1, 0}, Y: []float64{2, 0}}
+	if _, err := c.Do(ctx, req); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if req.ID != 42 || !req.Deadline.Equal(callerDeadline) {
+		t.Errorf("after Do, req has ID %d and deadline %v; want 42 and %v as passed", req.ID, req.Deadline, callerDeadline)
+	}
+	close(ids)
+	var seen []uint64
+	for id := range ids {
+		seen = append(seen, id)
+	}
+	if len(seen) != 2 || seen[0] == seen[1] || seen[0] == 42 || seen[1] == 42 {
+		t.Errorf("attempts carried IDs %v, want two fresh ones", seen)
+	}
+}
+
 // TestGoCostsNoGoroutinePerCall: 1000 outstanding Go calls on one
 // connection add no goroutine per call, and Close answers them all.
 func TestGoCostsNoGoroutinePerCall(t *testing.T) {
