@@ -22,6 +22,7 @@ import (
 	"multifloats/mf"
 	"multifloats/serve/client"
 	"multifloats/serve/server"
+	"multifloats/serve/wire"
 )
 
 func main() {
@@ -66,7 +67,7 @@ func main() {
 		x[2*i], y[2*i] = v, w
 		x[2*i+1], y[2*i+1] = v.Neg(), w // pairwise cancellation
 	}
-	dot, err := c.Dot3(ctx, x, y)
+	dot, err := client.Dot(ctx, c, x, y)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func main() {
 	// Scalar batch: concurrent single-value calls coalesce server-side
 	// into one vectorized kernel pass per batch window.
 	a, b := mf.New2(1.0).Div(mf.New2(3.0)), mf.New2(3.0)
-	prod, err := c.Mul2(ctx, a, b)
+	prod, err := client.Scalar(ctx, c, wire.OpMul, a, b)
 	if err != nil {
 		log.Fatal(err)
 	}

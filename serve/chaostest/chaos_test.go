@@ -18,6 +18,7 @@ import (
 	"multifloats/mf"
 	"multifloats/serve/client"
 	"multifloats/serve/server"
+	"multifloats/serve/wire"
 )
 
 // chaosSeeds sets how many seeded campaigns TestChaosCampaigns runs.
@@ -203,11 +204,11 @@ func chaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it int,
 	var x2, y2 mf.Float64x2
 	copy(x2[:], gen.Expansion(2, 200))
 	copy(y2[:], gen.Expansion(2, 200))
-	got2, err := c.Add2(ctx, x2, y2)
+	got2, err := client.Scalar(ctx, c, wire.OpAdd, x2, y2)
 	if e := check("Add2", err, err != nil || eq2(got2, x2.Add(y2))); e != nil {
 		return e
 	}
-	got2, err = c.Mul2(ctx, x2, y2)
+	got2, err = client.Scalar(ctx, c, wire.OpMul, x2, y2)
 	if e := check("Mul2", err, err != nil || eq2(got2, x2.Mul(y2))); e != nil {
 		return e
 	}
@@ -215,14 +216,14 @@ func chaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it int,
 	var x3, y3 mf.Float64x3
 	copy(x3[:], gen.Expansion(3, 120))
 	copy(y3[:], gen.NonZero(3, 120))
-	got3, err := c.Div3(ctx, x3, y3)
+	got3, err := client.Scalar(ctx, c, wire.OpDiv, x3, y3)
 	if e := check("Div3", err, err != nil || eq3(got3, x3.Div(y3))); e != nil {
 		return e
 	}
 
 	var x4 mf.Float64x4
 	copy(x4[:], gen.Positive(4, 100))
-	got4, err := c.Sqrt4(ctx, x4)
+	got4, err := client.Scalar(ctx, c, wire.OpSqrt, x4, mf.Float64x4{})
 	if e := check("Sqrt4", err, err != nil || eq4(got4, x4.Sqrt())); e != nil {
 		return e
 	}
@@ -238,7 +239,7 @@ func chaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it int,
 			copy(vx[i][:], gen.BlasElement(2))
 			copy(vy[i][:], gen.BlasElement(2))
 		}
-		got, err := c.Dot2(ctx, vx, vy)
+		got, err := client.Dot(ctx, c, vx, vy)
 		if e := check("Dot2", err, err != nil || eq2(got, blas.DotF2Parallel(vx, vy, 1))); e != nil {
 			return e
 		}
@@ -252,7 +253,7 @@ func chaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it int,
 		for i := range vx {
 			copy(vx[i][:], gen.BlasElement(3))
 		}
-		got, err := c.Gemv3(ctx, a, rows, cols, vx)
+		got, err := client.Gemv(ctx, c, a, rows, cols, vx)
 		if err != nil {
 			failedCalls.Add(1)
 			return nil
@@ -273,7 +274,7 @@ func chaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it int,
 			copy(a[i][:], gen.BlasElement(4))
 			copy(b[i][:], gen.BlasElement(4))
 		}
-		got, err := c.Gemm4(ctx, a, b, dim)
+		got, err := client.Gemm(ctx, c, a, b, dim)
 		if err != nil {
 			failedCalls.Add(1)
 			return nil
@@ -328,7 +329,7 @@ func TestDrainUnderActiveFaults(t *testing.T) {
 				var x2, y2 mf.Float64x2
 				copy(x2[:], gen.Expansion(2, 100))
 				copy(y2[:], gen.Expansion(2, 100))
-				got, err := c.Mul2(ctx, x2, y2)
+				got, err := client.Scalar(ctx, c, wire.OpMul, x2, y2)
 				if err != nil {
 					continue // loud failures are fine, before and after the drain
 				}

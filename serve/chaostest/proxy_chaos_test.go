@@ -37,6 +37,7 @@ import (
 	"multifloats/serve/client"
 	"multifloats/serve/proxy"
 	"multifloats/serve/server"
+	"multifloats/serve/wire"
 )
 
 // proxyProfiles are the upstream-link fault mixes. Stall-free: a
@@ -319,11 +320,11 @@ func proxyChaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it
 	var x2, y2 mf.Float64x2
 	copy(x2[:], gen.Expansion(2, 200))
 	copy(y2[:], gen.Expansion(2, 200))
-	got2, err := c.Add2(ctx, x2, y2)
+	got2, err := client.Scalar(ctx, c, wire.OpAdd, x2, y2)
 	if e := check("Add2", err, err != nil || eq2(got2, x2.Add(y2))); e != nil {
 		return e
 	}
-	got2, err = c.Mul2(ctx, x2, y2)
+	got2, err = client.Scalar(ctx, c, wire.OpMul, x2, y2)
 	if e := check("Mul2", err, err != nil || eq2(got2, x2.Mul(y2))); e != nil {
 		return e
 	}
@@ -331,7 +332,7 @@ func proxyChaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it
 	var x3, y3 mf.Float64x3
 	copy(x3[:], gen.Expansion(3, 120))
 	copy(y3[:], gen.NonZero(3, 120))
-	got3, err := c.Div3(ctx, x3, y3)
+	got3, err := client.Scalar(ctx, c, wire.OpDiv, x3, y3)
 	if e := check("Div3", err, err != nil || eq3(got3, x3.Div(y3))); e != nil {
 		return e
 	}
@@ -344,7 +345,7 @@ func proxyChaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it
 		copy(vx[i][:], gen.BlasElement(2))
 		copy(vy[i][:], gen.BlasElement(2))
 	}
-	gotDot, err := c.Dot2(ctx, vx, vy)
+	gotDot, err := client.Dot(ctx, c, vx, vy)
 	if e := check("Dot2", err, err != nil || eq2(gotDot, blas.DotF2Parallel(vx, vy, 1))); e != nil {
 		return e
 	}
@@ -356,7 +357,7 @@ func proxyChaosRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it
 	for _, e := range gen.ReduceVector(1, m) {
 		xs = append(xs, e...)
 	}
-	gotSum, err := c.SumExact(ctx, xs)
+	gotSum, err := client.SumExact(ctx, c, xs)
 	if err != nil {
 		failedCalls.Add(1)
 		return nil

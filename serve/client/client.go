@@ -1,13 +1,15 @@
-// Package client is the client for the mfserve compute service. It
-// mirrors the mf package's API surface over the network: typed scalar
-// and BLAS calls on Float64x2/x3/x4 values, with request deadlines
-// taken from the context, transparent retries with jittered
-// exponential backoff on transient failures (dial/IO errors, server
-// overload — honoring the server's retry-after hint, and response
-// integrity failures — see ErrIntegrity), and bit-exact results (the
-// wire encoding is the raw component bit pattern, and every frame is
-// CRC32C-verified, so a result that reaches the caller is exactly the
-// one the server computed).
+// Package client is the client for the mfserve compute service. Its
+// typed calls mirror the mf, blas and exact packages over the network,
+// each written once over the expansion type as mf's F2/F3/F4 are:
+// Scalar and Elementwise for the arithmetic and transcendental ops,
+// Axpy, Dot, Gemv and Gemm, and the exact reductions SumExact and
+// DotExact. Calls take their request deadline from the context, retry
+// transient failures with jittered exponential backoff (dial/IO errors,
+// server overload — honoring the server's retry-after hint, and
+// response integrity failures — see ErrIntegrity), and return
+// bit-exact results (the wire encoding is the raw component bit
+// pattern, and every frame is CRC32C-verified, so a result that reaches
+// the caller is exactly the one the server computed).
 package client
 
 import (
@@ -95,12 +97,13 @@ func WithDialer(dial func(addr string, timeout time.Duration) (net.Conn, error))
 	return func(c *Client) { c.dialFn = dial }
 }
 
-// Client is an mfserve client. Safe for concurrent use. Scalar calls
-// (wire.Op.Scalar) are pipelined over one lazily dialed connection that
-// they all share (mux.go): each queues its frame for the connection's
-// writer goroutine, and Go returns at once while Do and the typed calls
-// wait for the response. Every other call holds one pooled connection
-// for its exchange.
+// Client is an mfserve client. Safe for concurrent use. Scalar and
+// Elementwise calls, and Do or Go with a scalar op (wire.Op.Scalar),
+// are pipelined over one lazily dialed connection that they all share
+// (mux.go): each queues its frame for the connection's writer
+// goroutine, and Go returns at once while the others wait for the
+// response. Every other call (BLAS, the exact reductions, a
+// ReduceStream) holds one pooled connection for its exchange.
 type Client struct {
 	addr        string
 	poolSize    int

@@ -102,7 +102,7 @@ func TestRetryAfterOverload(t *testing.T) {
 	}
 	defer c.Close()
 
-	got, err := c.Add2(context.Background(), mf.New2(1.0), mf.New2(2.0))
+	got, err := Scalar(context.Background(), c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 	if err != nil {
 		t.Fatalf("Add2 after overloads: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestRetryAfterConnDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, err := c.Add2(context.Background(), mf.New2(4.0), mf.New2(5.0))
+	got, err := Scalar(context.Background(), c, wire.OpAdd, mf.New2(4.0), mf.New2(5.0))
 	if err != nil {
 		t.Fatalf("Add2 after conn drop: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestNoRetryOnBadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Add2(context.Background(), mf.New2(1.0), mf.New2(2.0))
+	_, err = Scalar(context.Background(), c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("err = %v, want ErrBadRequest", err)
 	}
@@ -167,7 +167,7 @@ func TestDeadlineNotRetried(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	_, err = c.Sqrt3(ctx, mf.New3(2.0))
+	_, err = Scalar(ctx, c, wire.OpSqrt, mf.New3(2.0), mf.Float64x3{})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -186,7 +186,7 @@ func TestRetriesExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Mul4(context.Background(), mf.New4(1.0), mf.New4(2.0))
+	_, err = Scalar(context.Background(), c, wire.OpMul, mf.New4(1.0), mf.New4(2.0))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want wrapped ErrOverloaded", err)
 	}
@@ -208,7 +208,7 @@ func TestIDMismatchPoisonsConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, err := c.Add2(context.Background(), mf.New2(2.0), mf.New2(3.0))
+	got, err := Scalar(context.Background(), c, wire.OpAdd, mf.New2(2.0), mf.New2(3.0))
 	if err != nil || got.Float() != 5 {
 		t.Fatalf("Add2 = %v, %v; want 5 after one retry", got, err)
 	}
@@ -226,7 +226,7 @@ func TestClientClosed(t *testing.T) {
 	}
 	c.Close()
 	c.Close() // idempotent
-	if _, err := c.Add2(context.Background(), mf.New2(1.0), mf.New2(1.0)); !errors.Is(err, ErrClosed) {
+	if _, err := Scalar(context.Background(), c, wire.OpAdd, mf.New2(1.0), mf.New2(1.0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -251,7 +251,7 @@ func TestCloseConcurrentWithCalls(t *testing.T) {
 				defer wg.Done()
 				// Success or a clean error are both fine; the test is that
 				// nothing panics while Close races the connection return.
-				c.Add2(context.Background(), mf.New2(1.0), mf.New2(2.0))
+				Scalar(context.Background(), c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			}()
 		}
 		c.Close()
@@ -309,7 +309,7 @@ func TestIntegrityFailureRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, err := c.Add2(context.Background(), mf.New2(20.0), mf.New2(22.0))
+	got, err := Scalar(context.Background(), c, wire.OpAdd, mf.New2(20.0), mf.New2(22.0))
 	if err != nil {
 		t.Fatalf("Add2 after corrupted response: %v", err)
 	}
@@ -363,7 +363,7 @@ func TestIntegrityFailureTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Add2(context.Background(), mf.New2(1.0), mf.New2(2.0))
+	_, err = Scalar(context.Background(), c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 	if !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
@@ -372,18 +372,81 @@ func TestIntegrityFailureTyped(t *testing.T) {
 	}
 }
 
-func TestMismatchedLengthsRejectedLocally(t *testing.T) {
+// TestLocalRejections: a typed call whose operands cannot form a valid
+// request returns ErrBadRequest without sending a frame. A pooled call
+// waits for its answer, so its frame would be counted by the time it
+// returns; the valid call at the end rides the same multiplexed
+// connection as the scalar rows, so a frame one of them had queued
+// would be counted before it.
+func TestLocalRejections(t *testing.T) {
 	fs := newFakeServer(t, func(n int64, req *wire.Request) *wire.Response { return okAdd2(req) })
 	c, err := Dial(fs.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Dot2(context.Background(), make([]mf.Float64x2, 3), make([]mf.Float64x2, 4))
-	if !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("err = %v, want ErrBadRequest", err)
+	ctx := context.Background()
+	x2, x3 := make([]mf.Float64x2, 3), make([]mf.Float64x3, 4)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"elementwise-lengths", func() error {
+			_, err := Elementwise(ctx, c, wire.OpMul, x2, x2[:2])
+			return err
+		}},
+		{"axpy-lengths", func() error {
+			_, err := Axpy(ctx, c, mf.Float64x3{}, x3, x3[:3])
+			return err
+		}},
+		{"dot-lengths", func() error {
+			_, err := Dot(ctx, c, x2, make([]mf.Float64x2, 4))
+			return err
+		}},
+		{"dotexact-lengths", func() error {
+			_, err := DotExact(ctx, c, []float64{1, 2}, []float64{3})
+			return err
+		}},
+		{"gemv-matrix", func() error {
+			_, err := Gemv(ctx, c, x3, 2, 3, x3[:3])
+			return err
+		}},
+		{"gemv-vector", func() error {
+			_, err := Gemv(ctx, c, x3, 2, 2, x3[:3])
+			return err
+		}},
+		{"gemm-shape", func() error {
+			_, err := Gemm(ctx, c, x3, x3[:3], 2)
+			return err
+		}},
+		{"scalar-blas-op", func() error {
+			_, err := Scalar(ctx, c, wire.OpDot, mf.New2(1.0), mf.New2(2.0))
+			return err
+		}},
+		{"scalar-reduction-op", func() error {
+			_, err := Scalar(ctx, c, wire.OpSumExact, mf.New4(1.0), mf.New4(2.0))
+			return err
+		}},
+		{"elementwise-blas-op", func() error {
+			_, err := Elementwise(ctx, c, wire.OpGemm, x3, x3)
+			return err
+		}},
+		{"elementwise-unknown-op", func() error {
+			_, err := Elementwise(ctx, c, wire.Op(99), x2, x2)
+			return err
+		}},
+	} {
+		if err := tc.call(); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
 	}
 	if n := fs.requests.Load(); n != 0 {
-		t.Fatalf("request hit the wire despite local validation")
+		t.Fatalf("server read %d requests from rejected calls", n)
+	}
+	if _, err := Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0)); err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.requests.Load(); n != 1 {
+		t.Fatalf("server read %d requests, want only the valid call's", n)
 	}
 }

@@ -329,7 +329,7 @@ func TestGoCostsNoGoroutinePerCall(t *testing.T) {
 	}
 	defer c.Close()
 	// Bring the connection, its reader and writer up first.
-	if _, err := c.Add2(context.Background(), mf.New2(1.0), mf.New2(2.0)); err != nil {
+	if _, err := Scalar(context.Background(), c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0)); err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()

@@ -15,6 +15,7 @@ import (
 	"multifloats/internal/diffuzz"
 	"multifloats/internal/testutil"
 	"multifloats/mf"
+	"multifloats/serve/internal/slab"
 	"multifloats/serve/server"
 	"multifloats/serve/wire"
 )
@@ -93,80 +94,36 @@ func TestScalarCallsShareOneConnection(t *testing.T) {
 // scalarCall makes one typed scalar call of op at width on adversarial
 // operands and checks the result bit for bit against the local mf call.
 func scalarCall(ctx context.Context, c *Client, gen *diffuzz.Gen, op wire.Op, width int) error {
-	var got, want []float64
-	var err error
 	switch width {
 	case 2:
-		var x, y, r, w mf.Float64x2
-		copy(x[:], gen.Positive(2, 200))
-		copy(y[:], gen.NonZero(2, 200))
-		switch op {
-		case wire.OpAdd:
-			r, err = c.Add2(ctx, x, y)
-			w = x.Add(y)
-		case wire.OpSub:
-			r, err = c.Sub2(ctx, x, y)
-			w = x.Sub(y)
-		case wire.OpMul:
-			r, err = c.Mul2(ctx, x, y)
-			w = x.Mul(y)
-		case wire.OpDiv:
-			r, err = c.Div2(ctx, x, y)
-			w = x.Div(y)
-		case wire.OpSqrt:
-			r, err = c.Sqrt2(ctx, x)
-			w = x.Sqrt()
-		}
-		got, want = r[:], w[:]
+		return scalarCallAt[mf.Float64x2](ctx, c, gen, op)
 	case 3:
-		var x, y, r, w mf.Float64x3
-		copy(x[:], gen.Positive(3, 200))
-		copy(y[:], gen.NonZero(3, 200))
-		switch op {
-		case wire.OpAdd:
-			r, err = c.Add3(ctx, x, y)
-			w = x.Add(y)
-		case wire.OpSub:
-			r, err = c.Sub3(ctx, x, y)
-			w = x.Sub(y)
-		case wire.OpMul:
-			r, err = c.Mul3(ctx, x, y)
-			w = x.Mul(y)
-		case wire.OpDiv:
-			r, err = c.Div3(ctx, x, y)
-			w = x.Div(y)
-		case wire.OpSqrt:
-			r, err = c.Sqrt3(ctx, x)
-			w = x.Sqrt()
-		}
-		got, want = r[:], w[:]
-	case 4:
-		var x, y, r, w mf.Float64x4
-		copy(x[:], gen.Positive(4, 200))
-		copy(y[:], gen.NonZero(4, 200))
-		switch op {
-		case wire.OpAdd:
-			r, err = c.Add4(ctx, x, y)
-			w = x.Add(y)
-		case wire.OpSub:
-			r, err = c.Sub4(ctx, x, y)
-			w = x.Sub(y)
-		case wire.OpMul:
-			r, err = c.Mul4(ctx, x, y)
-			w = x.Mul(y)
-		case wire.OpDiv:
-			r, err = c.Div4(ctx, x, y)
-			w = x.Div(y)
-		case wire.OpSqrt:
-			r, err = c.Sqrt4(ctx, x)
-			w = x.Sqrt()
-		}
-		got, want = r[:], w[:]
+		return scalarCallAt[mf.Float64x3](ctx, c, gen, op)
 	}
+	return scalarCallAt[mf.Float64x4](ctx, c, gen, op)
+}
+
+// arith is an expansion type with mf's local arithmetic.
+type arith[E any] interface {
+	Expansion
+	Add(E) E
+	Sub(E) E
+	Mul(E) E
+	Div(E) E
+	Sqrt() E
+}
+
+func scalarCallAt[E arith[E]](ctx context.Context, c *Client, gen *diffuzz.Gen, op wire.Op) error {
+	width := slab.Width[E]()
+	x, y := slab.As[E](gen.Positive(width, 200))[0], slab.As[E](gen.NonZero(width, 200))[0]
+	got, err := Scalar(ctx, c, op, x, y)
 	if err != nil {
 		return fmt.Errorf("%v width %d: %w", op, width, err)
 	}
-	if !sameBits(got, want) {
+	want := map[wire.Op]E{
+		wire.OpAdd: x.Add(y), wire.OpSub: x.Sub(y), wire.OpMul: x.Mul(y), wire.OpDiv: x.Div(y), wire.OpSqrt: x.Sqrt(),
+	}[op]
+	if !sameBits(slab.Flat([]E{got}), slab.Flat([]E{want})) {
 		return fmt.Errorf("%v width %d: got %v, want %v", op, width, got, want)
 	}
 	return nil
@@ -202,7 +159,7 @@ func startCalls(ctx context.Context, c *Client) func() ([]mf.Float64x2, []error)
 		go func() {
 			defer wg.Done()
 			x, y := addOperands(i)
-			got[i], errs[i] = c.Add2(ctx, x, y)
+			got[i], errs[i] = Scalar(ctx, c, wire.OpAdd, x, y)
 		}()
 	}
 	return func() ([]mf.Float64x2, []error) {
@@ -280,7 +237,7 @@ func TestMuxFailures(t *testing.T) {
 				t.Errorf("call %d: err %v, want a retryable ErrIntegrity", i, err)
 			}
 		}
-		got, err := c.Add2(ctx, mf.New2(2.0), mf.New2(3.0))
+		got, err := Scalar(ctx, c, wire.OpAdd, mf.New2(2.0), mf.New2(3.0))
 		if err != nil || got.Float() != 5 {
 			t.Fatalf("call after the desync = %v, %v; want 5", got, err)
 		}
@@ -325,7 +282,7 @@ func TestMuxFailures(t *testing.T) {
 		dctx, cancel := context.WithTimeout(ctx, budget)
 		defer cancel()
 		start := time.Now()
-		_, err = c.Add2(dctx, mf.New2(1.0), mf.New2(2.0))
+		_, err = Scalar(dctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 		elapsed := time.Since(start)
 		if !timedOut(err) {
 			t.Fatalf("err = %v, want a retryable timeout", err)
@@ -340,7 +297,7 @@ func TestMuxFailures(t *testing.T) {
 		// That call has no deadline and waits the whole I/O timeout. By
 		// then the connection has read nothing for longer than that, so
 		// the call's expiry closes it.
-		_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+		_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 		if !timedOut(err) {
 			t.Fatalf("second call: err = %v, want a retryable timeout", err)
 		}
@@ -372,20 +329,20 @@ func TestMuxFailures(t *testing.T) {
 		unanswered := func() {
 			dctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 			defer cancel()
-			if _, err := c.Add2(dctx, mf.New2(99.0), mf.New2(1.0)); !errors.Is(err, context.DeadlineExceeded) {
+			if _, err := Scalar(dctx, c, wire.OpAdd, mf.New2(99.0), mf.New2(1.0)); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("unanswered call: err = %v, want context.DeadlineExceeded", err)
 			}
 		}
 		unanswered()
 		for end := time.Now().Add(2 * ioTimeout); time.Now().Before(end); time.Sleep(time.Millisecond) {
-			if got, err := c.Add2(ctx, mf.New2(2.0), mf.New2(3.0)); err != nil || got.Float() != 5 {
+			if got, err := Scalar(ctx, c, wire.OpAdd, mf.New2(2.0), mf.New2(3.0)); err != nil || got.Float() != 5 {
 				t.Fatalf("answered call = %v, %v; want 5", got, err)
 			}
 		}
 		unanswered()
 		// A call after the expiry must find the connection open, not
 		// re-dial.
-		if got, err := c.Add2(ctx, mf.New2(2.0), mf.New2(3.0)); err != nil || got.Float() != 5 {
+		if got, err := Scalar(ctx, c, wire.OpAdd, mf.New2(2.0), mf.New2(3.0)); err != nil || got.Float() != 5 {
 			t.Fatalf("call after the expiry = %v, %v; want 5", got, err)
 		}
 		if n, closes := fs.accepts.Load(), fs.peerCloses.Load(); n != 1 || closes != 0 {
@@ -419,7 +376,7 @@ func TestMuxFailures(t *testing.T) {
 			dctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
 			go func() {
 				defer cancel()
-				_, err := c.Add2(dctx, mf.New2(1.0), mf.New2(2.0))
+				_, err := Scalar(dctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 				errc <- err
 			}()
 			waitFor(t, fmt.Sprintf("request %d to reach the server", n), func() bool { return fs.requests.Load() == n })
@@ -430,7 +387,7 @@ func TestMuxFailures(t *testing.T) {
 		long := make(chan error, 1)
 		go func() {
 			x, y := addOperands(0)
-			got, err := c.Add2(ctx, x, y)
+			got, err := Scalar(ctx, c, wire.OpAdd, x, y)
 			if want := x.Add(y); err == nil && !sameBits(got[:], want[:]) {
 				err = fmt.Errorf("got %v, want %v", got, want)
 			}

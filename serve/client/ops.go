@@ -3,372 +3,107 @@ package client
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"multifloats/mf"
+	"multifloats/serve/internal/slab"
 	"multifloats/serve/wire"
 )
 
-// Typed operations mirroring the mf package. Single-value calls
-// (Add2, Sqrt3, …) cost one round trip each — the server's scheduler
-// coalesces concurrent ones into shared slab executions. The slice
-// variants (AddSlice2, …) apply the op elementwise to whole vectors in a
-// single request and are the preferred shape for bulk work.
+// Typed calls mirroring the mf and blas packages, written once for
+// every width as mf's F2/F3/F4 are: the expansion width is the type
+// argument's. Scalar costs one round trip per value, and the server's
+// scheduler coalesces concurrent ones into shared slab executions;
+// Elementwise applies an op to whole vectors in one request and is the
+// preferred shape for bulk work. Results are bit-identical to the
+// corresponding local call: the server runs the same kernels.
+//
+// Operands are sent as copies: a scalar frame waits in the multiplexed
+// connection's queue, and may be written after its call has timed out
+// and its caller has reused the memory. Results are views of the
+// call's own decoded response slab, which nothing else holds.
 
-func (c *Client) scalarOp(ctx context.Context, op wire.Op, width int, x, y []float64) ([]float64, error) {
-	count := len(x) / width
-	if !op.Unary() && len(y) != len(x) {
-		return nil, fmt.Errorf("%w: operand lengths %d and %d differ", ErrBadRequest, len(x)/width, len(y)/width)
-	}
-	return c.do(ctx, &wire.Request{Op: op, Width: width, Count: count, X: x, Y: y})
+// Expansion is the element type of the typed calls.
+type Expansion interface {
+	mf.Float64x2 | mf.Float64x3 | mf.Float64x4
 }
 
-// ---------------------------------------------------------------- F2 ----
-
-// Add2 returns x + y computed remotely.
-func (c *Client) Add2(ctx context.Context, x, y mf.Float64x2) (mf.Float64x2, error) {
-	out, err := c.scalarOp(ctx, wire.OpAdd, 2, x[:], y[:])
-	if err != nil {
-		return mf.Float64x2{}, err
-	}
-	return mf.Float64x2{out[0], out[1]}, nil
+// Scalar returns op(x, y) for one expansion, computed remotely. op is
+// any elementwise op (wire.Op.Scalar), arithmetic or transcendental; a
+// unary one ignores y. wire.OpAtan2 takes the y-coordinate as x,
+// matching mf.Atan2F2(y, x), and wire.OpPow's x is the base.
+func Scalar[E Expansion](ctx context.Context, c *Client, op wire.Op, x, y E) (E, error) {
+	return first(Elementwise(ctx, c, op, []E{x}, []E{y}))
 }
 
-// Sub2 returns x - y computed remotely.
-func (c *Client) Sub2(ctx context.Context, x, y mf.Float64x2) (mf.Float64x2, error) {
-	out, err := c.scalarOp(ctx, wire.OpSub, 2, x[:], y[:])
-	if err != nil {
-		return mf.Float64x2{}, err
+// Elementwise returns op(x[i], y[i]) for every i in one request. op is
+// as for Scalar; a unary op ignores y.
+func Elementwise[E Expansion](ctx context.Context, c *Client, op wire.Op, x, y []E) ([]E, error) {
+	if !op.Scalar() {
+		return nil, fmt.Errorf("%w: %v is not an elementwise op", ErrBadRequest, op)
 	}
-	return mf.Float64x2{out[0], out[1]}, nil
+	var ys []float64
+	if !op.Unary() {
+		if len(y) != len(x) {
+			return nil, fmt.Errorf("%w: operand lengths %d and %d differ", ErrBadRequest, len(x), len(y))
+		}
+		ys = operand(y)
+	}
+	return call[E](ctx, c, &wire.Request{Op: op, Width: slab.Width[E](), Count: len(x), X: operand(x), Y: ys})
 }
 
-// Mul2 returns x · y computed remotely.
-func (c *Client) Mul2(ctx context.Context, x, y mf.Float64x2) (mf.Float64x2, error) {
-	out, err := c.scalarOp(ctx, wire.OpMul, 2, x[:], y[:])
-	if err != nil {
-		return mf.Float64x2{}, err
-	}
-	return mf.Float64x2{out[0], out[1]}, nil
-}
-
-// Div2 returns x / y computed remotely.
-func (c *Client) Div2(ctx context.Context, x, y mf.Float64x2) (mf.Float64x2, error) {
-	out, err := c.scalarOp(ctx, wire.OpDiv, 2, x[:], y[:])
-	if err != nil {
-		return mf.Float64x2{}, err
-	}
-	return mf.Float64x2{out[0], out[1]}, nil
-}
-
-// Sqrt2 returns √x computed remotely.
-func (c *Client) Sqrt2(ctx context.Context, x mf.Float64x2) (mf.Float64x2, error) {
-	out, err := c.scalarOp(ctx, wire.OpSqrt, 2, x[:], nil)
-	if err != nil {
-		return mf.Float64x2{}, err
-	}
-	return mf.Float64x2{out[0], out[1]}, nil
-}
-
-// AddSlice2 returns x[i] + y[i] elementwise in one request.
-func (c *Client) AddSlice2(ctx context.Context, x, y []mf.Float64x2) ([]mf.Float64x2, error) {
-	out, err := c.scalarOp(ctx, wire.OpAdd, 2, wire.Pack2(x), wire.Pack2(y))
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack2(out), nil
-}
-
-// MulSlice2 returns x[i] · y[i] elementwise in one request.
-func (c *Client) MulSlice2(ctx context.Context, x, y []mf.Float64x2) ([]mf.Float64x2, error) {
-	out, err := c.scalarOp(ctx, wire.OpMul, 2, wire.Pack2(x), wire.Pack2(y))
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack2(out), nil
-}
-
-// Axpy2 returns y + alpha·x (elementwise), the remote AxpyF2.
-func (c *Client) Axpy2(ctx context.Context, alpha mf.Float64x2, x, y []mf.Float64x2) ([]mf.Float64x2, error) {
+// Axpy returns y + alpha·x elementwise, the remote blas.AxpyF2Parallel
+// (or F3, F4).
+func Axpy[E Expansion](ctx context.Context, c *Client, alpha E, x, y []E) ([]E, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("%w: axpy operand lengths %d and %d differ", ErrBadRequest, len(x), len(y))
 	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpAxpy, Width: 2, Count: len(x),
-		Alpha: alpha[:], X: wire.Pack2(x), Y: wire.Pack2(y)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack2(out), nil
+	return call[E](ctx, c, &wire.Request{Op: wire.OpAxpy, Width: slab.Width[E](), Count: len(x),
+		Alpha: slab.Flat([]E{alpha}), X: operand(x), Y: operand(y)})
 }
 
-// Dot2 returns Σ x[i]·y[i], the remote DotF2Parallel.
-func (c *Client) Dot2(ctx context.Context, x, y []mf.Float64x2) (mf.Float64x2, error) {
+// Dot returns Σ x[i]·y[i], the remote blas.DotF2Parallel (or F3, F4).
+func Dot[E Expansion](ctx context.Context, c *Client, x, y []E) (E, error) {
 	if len(x) != len(y) {
-		return mf.Float64x2{}, fmt.Errorf("%w: dot operand lengths %d and %d differ", ErrBadRequest, len(x), len(y))
+		return first[E](nil, fmt.Errorf("%w: dot operand lengths %d and %d differ", ErrBadRequest, len(x), len(y)))
 	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpDot, Width: 2, Count: len(x),
-		X: wire.Pack2(x), Y: wire.Pack2(y)})
-	if err != nil {
-		return mf.Float64x2{}, err
-	}
-	return mf.Float64x2{out[0], out[1]}, nil
+	return first(call[E](ctx, c, &wire.Request{Op: wire.OpDot, Width: slab.Width[E](), Count: len(x),
+		X: operand(x), Y: operand(y)}))
 }
 
-// Gemv2 returns A·x for a row-major n×m matrix A.
-func (c *Client) Gemv2(ctx context.Context, a []mf.Float64x2, n, m int, x []mf.Float64x2) ([]mf.Float64x2, error) {
+// Gemv returns A·x for a row-major n×m matrix A.
+func Gemv[E Expansion](ctx context.Context, c *Client, a []E, n, m int, x []E) ([]E, error) {
 	if len(a) != n*m || len(x) != m {
 		return nil, fmt.Errorf("%w: gemv shape a=%d x=%d, want %d/%d", ErrBadRequest, len(a), len(x), n*m, m)
 	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpGemv, Width: 2, Count: n, M: m,
-		X: wire.Pack2(a), Y: wire.Pack2(x)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack2(out), nil
+	return call[E](ctx, c, &wire.Request{Op: wire.OpGemv, Width: slab.Width[E](), Count: n, M: m,
+		X: operand(a), Y: operand(x)})
 }
 
-// Gemm2 returns A·B for row-major n×n matrices (the remote blocked GEMM).
-func (c *Client) Gemm2(ctx context.Context, a, b []mf.Float64x2, n int) ([]mf.Float64x2, error) {
+// Gemm returns A·B for row-major n×n matrices (the remote blocked
+// GEMM).
+func Gemm[E Expansion](ctx context.Context, c *Client, a, b []E, n int) ([]E, error) {
 	if len(a) != n*n || len(b) != n*n {
 		return nil, fmt.Errorf("%w: gemm shape a=%d b=%d, want %d", ErrBadRequest, len(a), len(b), n*n)
 	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpGemm, Width: 2, Count: n,
-		X: wire.Pack2(a), Y: wire.Pack2(b)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack2(out), nil
+	return call[E](ctx, c, &wire.Request{Op: wire.OpGemm, Width: slab.Width[E](), Count: n,
+		X: operand(a), Y: operand(b)})
 }
 
-// ---------------------------------------------------------------- F3 ----
+// operand returns a copy of v's component slab.
+func operand[E Expansion](v []E) []float64 { return slices.Clone(slab.Flat(v)) }
 
-// Add3 returns x + y computed remotely.
-func (c *Client) Add3(ctx context.Context, x, y mf.Float64x3) (mf.Float64x3, error) {
-	out, err := c.scalarOp(ctx, wire.OpAdd, 3, x[:], y[:])
-	if err != nil {
-		return mf.Float64x3{}, err
-	}
-	return mf.Float64x3{out[0], out[1], out[2]}, nil
+// call sends req and returns its result slab as expansions.
+func call[E Expansion](ctx context.Context, c *Client, req *wire.Request) ([]E, error) {
+	out, err := c.do(ctx, req)
+	return slab.As[E](out), err
 }
 
-// Sub3 returns x - y computed remotely.
-func (c *Client) Sub3(ctx context.Context, x, y mf.Float64x3) (mf.Float64x3, error) {
-	out, err := c.scalarOp(ctx, wire.OpSub, 3, x[:], y[:])
+// first returns the one element of a single-value result.
+func first[E any](out []E, err error) (E, error) {
 	if err != nil {
-		return mf.Float64x3{}, err
+		var zero E
+		return zero, err
 	}
-	return mf.Float64x3{out[0], out[1], out[2]}, nil
-}
-
-// Mul3 returns x · y computed remotely.
-func (c *Client) Mul3(ctx context.Context, x, y mf.Float64x3) (mf.Float64x3, error) {
-	out, err := c.scalarOp(ctx, wire.OpMul, 3, x[:], y[:])
-	if err != nil {
-		return mf.Float64x3{}, err
-	}
-	return mf.Float64x3{out[0], out[1], out[2]}, nil
-}
-
-// Div3 returns x / y computed remotely.
-func (c *Client) Div3(ctx context.Context, x, y mf.Float64x3) (mf.Float64x3, error) {
-	out, err := c.scalarOp(ctx, wire.OpDiv, 3, x[:], y[:])
-	if err != nil {
-		return mf.Float64x3{}, err
-	}
-	return mf.Float64x3{out[0], out[1], out[2]}, nil
-}
-
-// Sqrt3 returns √x computed remotely.
-func (c *Client) Sqrt3(ctx context.Context, x mf.Float64x3) (mf.Float64x3, error) {
-	out, err := c.scalarOp(ctx, wire.OpSqrt, 3, x[:], nil)
-	if err != nil {
-		return mf.Float64x3{}, err
-	}
-	return mf.Float64x3{out[0], out[1], out[2]}, nil
-}
-
-// AddSlice3 returns x[i] + y[i] elementwise in one request.
-func (c *Client) AddSlice3(ctx context.Context, x, y []mf.Float64x3) ([]mf.Float64x3, error) {
-	out, err := c.scalarOp(ctx, wire.OpAdd, 3, wire.Pack3(x), wire.Pack3(y))
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack3(out), nil
-}
-
-// MulSlice3 returns x[i] · y[i] elementwise in one request.
-func (c *Client) MulSlice3(ctx context.Context, x, y []mf.Float64x3) ([]mf.Float64x3, error) {
-	out, err := c.scalarOp(ctx, wire.OpMul, 3, wire.Pack3(x), wire.Pack3(y))
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack3(out), nil
-}
-
-// Axpy3 returns y + alpha·x (elementwise).
-func (c *Client) Axpy3(ctx context.Context, alpha mf.Float64x3, x, y []mf.Float64x3) ([]mf.Float64x3, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("%w: axpy operand lengths %d and %d differ", ErrBadRequest, len(x), len(y))
-	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpAxpy, Width: 3, Count: len(x),
-		Alpha: alpha[:], X: wire.Pack3(x), Y: wire.Pack3(y)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack3(out), nil
-}
-
-// Dot3 returns Σ x[i]·y[i].
-func (c *Client) Dot3(ctx context.Context, x, y []mf.Float64x3) (mf.Float64x3, error) {
-	if len(x) != len(y) {
-		return mf.Float64x3{}, fmt.Errorf("%w: dot operand lengths %d and %d differ", ErrBadRequest, len(x), len(y))
-	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpDot, Width: 3, Count: len(x),
-		X: wire.Pack3(x), Y: wire.Pack3(y)})
-	if err != nil {
-		return mf.Float64x3{}, err
-	}
-	return mf.Float64x3{out[0], out[1], out[2]}, nil
-}
-
-// Gemv3 returns A·x for a row-major n×m matrix A.
-func (c *Client) Gemv3(ctx context.Context, a []mf.Float64x3, n, m int, x []mf.Float64x3) ([]mf.Float64x3, error) {
-	if len(a) != n*m || len(x) != m {
-		return nil, fmt.Errorf("%w: gemv shape a=%d x=%d, want %d/%d", ErrBadRequest, len(a), len(x), n*m, m)
-	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpGemv, Width: 3, Count: n, M: m,
-		X: wire.Pack3(a), Y: wire.Pack3(x)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack3(out), nil
-}
-
-// Gemm3 returns A·B for row-major n×n matrices.
-func (c *Client) Gemm3(ctx context.Context, a, b []mf.Float64x3, n int) ([]mf.Float64x3, error) {
-	if len(a) != n*n || len(b) != n*n {
-		return nil, fmt.Errorf("%w: gemm shape a=%d b=%d, want %d", ErrBadRequest, len(a), len(b), n*n)
-	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpGemm, Width: 3, Count: n,
-		X: wire.Pack3(a), Y: wire.Pack3(b)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack3(out), nil
-}
-
-// ---------------------------------------------------------------- F4 ----
-
-// Add4 returns x + y computed remotely.
-func (c *Client) Add4(ctx context.Context, x, y mf.Float64x4) (mf.Float64x4, error) {
-	out, err := c.scalarOp(ctx, wire.OpAdd, 4, x[:], y[:])
-	if err != nil {
-		return mf.Float64x4{}, err
-	}
-	return mf.Float64x4{out[0], out[1], out[2], out[3]}, nil
-}
-
-// Sub4 returns x - y computed remotely.
-func (c *Client) Sub4(ctx context.Context, x, y mf.Float64x4) (mf.Float64x4, error) {
-	out, err := c.scalarOp(ctx, wire.OpSub, 4, x[:], y[:])
-	if err != nil {
-		return mf.Float64x4{}, err
-	}
-	return mf.Float64x4{out[0], out[1], out[2], out[3]}, nil
-}
-
-// Mul4 returns x · y computed remotely.
-func (c *Client) Mul4(ctx context.Context, x, y mf.Float64x4) (mf.Float64x4, error) {
-	out, err := c.scalarOp(ctx, wire.OpMul, 4, x[:], y[:])
-	if err != nil {
-		return mf.Float64x4{}, err
-	}
-	return mf.Float64x4{out[0], out[1], out[2], out[3]}, nil
-}
-
-// Div4 returns x / y computed remotely.
-func (c *Client) Div4(ctx context.Context, x, y mf.Float64x4) (mf.Float64x4, error) {
-	out, err := c.scalarOp(ctx, wire.OpDiv, 4, x[:], y[:])
-	if err != nil {
-		return mf.Float64x4{}, err
-	}
-	return mf.Float64x4{out[0], out[1], out[2], out[3]}, nil
-}
-
-// Sqrt4 returns √x computed remotely.
-func (c *Client) Sqrt4(ctx context.Context, x mf.Float64x4) (mf.Float64x4, error) {
-	out, err := c.scalarOp(ctx, wire.OpSqrt, 4, x[:], nil)
-	if err != nil {
-		return mf.Float64x4{}, err
-	}
-	return mf.Float64x4{out[0], out[1], out[2], out[3]}, nil
-}
-
-// AddSlice4 returns x[i] + y[i] elementwise in one request.
-func (c *Client) AddSlice4(ctx context.Context, x, y []mf.Float64x4) ([]mf.Float64x4, error) {
-	out, err := c.scalarOp(ctx, wire.OpAdd, 4, wire.Pack4(x), wire.Pack4(y))
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack4(out), nil
-}
-
-// MulSlice4 returns x[i] · y[i] elementwise in one request.
-func (c *Client) MulSlice4(ctx context.Context, x, y []mf.Float64x4) ([]mf.Float64x4, error) {
-	out, err := c.scalarOp(ctx, wire.OpMul, 4, wire.Pack4(x), wire.Pack4(y))
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack4(out), nil
-}
-
-// Axpy4 returns y + alpha·x (elementwise).
-func (c *Client) Axpy4(ctx context.Context, alpha mf.Float64x4, x, y []mf.Float64x4) ([]mf.Float64x4, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("%w: axpy operand lengths %d and %d differ", ErrBadRequest, len(x), len(y))
-	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpAxpy, Width: 4, Count: len(x),
-		Alpha: alpha[:], X: wire.Pack4(x), Y: wire.Pack4(y)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack4(out), nil
-}
-
-// Dot4 returns Σ x[i]·y[i].
-func (c *Client) Dot4(ctx context.Context, x, y []mf.Float64x4) (mf.Float64x4, error) {
-	if len(x) != len(y) {
-		return mf.Float64x4{}, fmt.Errorf("%w: dot operand lengths %d and %d differ", ErrBadRequest, len(x), len(y))
-	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpDot, Width: 4, Count: len(x),
-		X: wire.Pack4(x), Y: wire.Pack4(y)})
-	if err != nil {
-		return mf.Float64x4{}, err
-	}
-	return mf.Float64x4{out[0], out[1], out[2], out[3]}, nil
-}
-
-// Gemv4 returns A·x for a row-major n×m matrix A.
-func (c *Client) Gemv4(ctx context.Context, a []mf.Float64x4, n, m int, x []mf.Float64x4) ([]mf.Float64x4, error) {
-	if len(a) != n*m || len(x) != m {
-		return nil, fmt.Errorf("%w: gemv shape a=%d x=%d, want %d/%d", ErrBadRequest, len(a), len(x), n*m, m)
-	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpGemv, Width: 4, Count: n, M: m,
-		X: wire.Pack4(a), Y: wire.Pack4(x)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack4(out), nil
-}
-
-// Gemm4 returns A·B for row-major n×n matrices.
-func (c *Client) Gemm4(ctx context.Context, a, b []mf.Float64x4, n int) ([]mf.Float64x4, error) {
-	if len(a) != n*n || len(b) != n*n {
-		return nil, fmt.Errorf("%w: gemm shape a=%d b=%d, want %d", ErrBadRequest, len(a), len(b), n*n)
-	}
-	out, err := c.do(ctx, &wire.Request{Op: wire.OpGemm, Width: 4, Count: n,
-		X: wire.Pack4(a), Y: wire.Pack4(b)})
-	if err != nil {
-		return nil, err
-	}
-	return wire.Unpack4(out), nil
+	return out[0], nil
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"multifloats/mf"
+	"multifloats/serve/internal/slab"
 	"multifloats/serve/wire"
 )
 
@@ -28,106 +28,45 @@ import (
 // unread acks (the server acknowledges every chunk).
 const reduceWindow = 64
 
-// SumExact returns the correctly rounded sum of xs, computed remotely.
-func (c *Client) SumExact(ctx context.Context, xs []float64) (float64, error) {
-	out, err := c.reduce(ctx, wire.OpSumExact, 1, xs, nil)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
+// Element is an operand type of the exact reductions: a plain float64,
+// or an expansion.
+type Element interface {
+	float64 | Expansion
+}
+
+// SumExact returns the correctly rounded sum of xs, computed remotely:
+// for float64 the rounded sum, for an expansion type the canonical
+// expansion of the exact result at that width.
+func SumExact[E Element](ctx context.Context, c *Client, xs []E) (E, error) {
+	return reduce(ctx, c, wire.OpSumExact, xs, nil)
 }
 
 // DotExact returns the correctly rounded dot product of x and y,
-// computed remotely.
-func (c *Client) DotExact(ctx context.Context, x, y []float64) (float64, error) {
-	out, err := c.reduce(ctx, wire.OpDotExact, 1, x, y)
-	if err != nil {
-		return 0, err
+// computed remotely, as SumExact rounds its sum.
+func DotExact[E Element](ctx context.Context, c *Client, x, y []E) (E, error) {
+	if len(x) != len(y) {
+		return first[E](nil, fmt.Errorf("%w: operand lengths %d and %d differ", ErrBadRequest, len(x), len(y)))
 	}
-	return out[0], nil
+	return reduce(ctx, c, wire.OpDotExact, x, y)
 }
 
-// SumExact2 returns the sum of the expansion values in xs as the
-// canonical width-2 expansion of the exact result, computed remotely.
-func (c *Client) SumExact2(ctx context.Context, xs []mf.Float64x2) (mf.Float64x2, error) {
-	out, err := c.reduce(ctx, wire.OpSumExact, 2, wire.Pack2(xs), nil)
-	if err != nil {
-		return mf.Float64x2{}, err
-	}
-	return mf.Float64x2(out), nil
-}
-
-// SumExact3 is SumExact2 at width 3.
-func (c *Client) SumExact3(ctx context.Context, xs []mf.Float64x3) (mf.Float64x3, error) {
-	out, err := c.reduce(ctx, wire.OpSumExact, 3, wire.Pack3(xs), nil)
-	if err != nil {
-		return mf.Float64x3{}, err
-	}
-	return mf.Float64x3(out), nil
-}
-
-// SumExact4 is SumExact2 at width 4.
-func (c *Client) SumExact4(ctx context.Context, xs []mf.Float64x4) (mf.Float64x4, error) {
-	out, err := c.reduce(ctx, wire.OpSumExact, 4, wire.Pack4(xs), nil)
-	if err != nil {
-		return mf.Float64x4{}, err
-	}
-	return mf.Float64x4(out), nil
-}
-
-// DotExact2 returns the dot product of the expansion vectors x and y as
-// the canonical width-2 expansion of the exact result, computed
-// remotely.
-func (c *Client) DotExact2(ctx context.Context, x, y []mf.Float64x2) (mf.Float64x2, error) {
-	out, err := c.reduce(ctx, wire.OpDotExact, 2, wire.Pack2(x), wire.Pack2(y))
-	if err != nil {
-		return mf.Float64x2{}, err
-	}
-	return mf.Float64x2(out), nil
-}
-
-// DotExact3 is DotExact2 at width 3.
-func (c *Client) DotExact3(ctx context.Context, x, y []mf.Float64x3) (mf.Float64x3, error) {
-	out, err := c.reduce(ctx, wire.OpDotExact, 3, wire.Pack3(x), wire.Pack3(y))
-	if err != nil {
-		return mf.Float64x3{}, err
-	}
-	return mf.Float64x3(out), nil
-}
-
-// DotExact4 is DotExact2 at width 4.
-func (c *Client) DotExact4(ctx context.Context, x, y []mf.Float64x4) (mf.Float64x4, error) {
-	out, err := c.reduce(ctx, wire.OpDotExact, 4, wire.Pack4(x), wire.Pack4(y))
-	if err != nil {
-		return mf.Float64x4{}, err
-	}
-	return mf.Float64x4(out), nil
-}
-
-// reduce runs one reduction over the width-w component slabs x (and y
-// for dot). Operands that fit one chunk go through the ordinary
-// single-request path; longer ones stream through a ReduceStream, and
-// a retry restarts the whole stream from chunk 0.
-func (c *Client) reduce(ctx context.Context, op wire.Op, width int, x, y []float64) ([]float64, error) {
-	if op == wire.OpDotExact && len(y) != len(x) {
-		return nil, fmt.Errorf("%w: operand lengths %d and %d differ", ErrBadRequest, len(x)/width, len(y)/width)
-	}
-	count := len(x) / width
-	if count <= c.reduceChunk {
-		return c.do(ctx, &wire.Request{Op: op, Width: width, Count: count, M: wire.FlagReduceFinal, X: x, Y: y})
-	}
-	return c.withRetries(ctx, func() ([]float64, error) {
-		s, err := c.StartReduce(ctx, op, width, 0)
+// reduce streams x (and y for dot) through a ReduceStream in chunks of
+// reduceChunk elements; a one-chunk stream is its single final frame. A
+// retry restarts the whole stream from chunk 0. The stream writes each
+// chunk before it returns, so it sends views of the caller's operands.
+func reduce[E Element](ctx context.Context, c *Client, op wire.Op, x, y []E) (E, error) {
+	out, err := c.withRetries(ctx, func() ([]float64, error) {
+		s, err := c.StartReduce(ctx, op, slab.Width[E](), 0)
 		if err != nil {
 			return nil, err
 		}
 		for lo := 0; ; lo += c.reduceChunk {
-			hi := min(lo+c.reduceChunk, count)
-			xs, ys := x[lo*width:hi*width], y
+			hi := min(lo+c.reduceChunk, len(x))
+			xs, ys := slab.Flat(x[lo:hi]), []float64(nil)
 			if y != nil {
-				ys = y[lo*width : hi*width]
+				ys = slab.Flat(y[lo:hi])
 			}
-			if hi == count {
+			if hi == len(x) {
 				return s.Finish(hi-lo, xs, ys, false)
 			}
 			if err := s.Send(hi-lo, xs, ys); err != nil {
@@ -135,4 +74,5 @@ func (c *Client) reduce(ctx context.Context, op wire.Op, width int, x, y []float
 			}
 		}
 	})
+	return first(slab.As[E](out), err)
 }

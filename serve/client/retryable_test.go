@@ -33,7 +33,7 @@ func TestIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, true, ErrOverloaded},
 		{"conn-drop", func(t *testing.T) error {
@@ -43,7 +43,7 @@ func TestIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, true, nil},
 		{"dial-failure", func(t *testing.T) error {
@@ -52,7 +52,7 @@ func TestIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, true, nil},
 		{"integrity", func(t *testing.T) error {
@@ -64,7 +64,7 @@ func TestIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, true, ErrIntegrity},
 		{"deadline", func(t *testing.T) error {
@@ -74,7 +74,7 @@ func TestIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, false, ErrDeadlineExceeded},
 		{"bad-request", func(t *testing.T) error {
@@ -84,7 +84,7 @@ func TestIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, false, ErrBadRequest},
 		{"server-error", func(t *testing.T) error {
@@ -94,7 +94,7 @@ func TestIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, false, ErrServer},
 		{"closed", func(t *testing.T) error {
@@ -104,7 +104,7 @@ func TestIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Close()
-			_, err = c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, false, ErrClosed},
 		{"context-canceled", func(t *testing.T) error {
@@ -116,7 +116,7 @@ func TestIsRetryable(t *testing.T) {
 			defer c.Close()
 			cctx, cancel := context.WithCancel(ctx)
 			cancel()
-			_, err = c.Add2(cctx, mf.New2(1.0), mf.New2(2.0))
+			_, err = Scalar(cctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 			return err
 		}, false, nil},
 	}
@@ -159,7 +159,7 @@ func TestLazyDial(t *testing.T) {
 		t.Fatalf("lazy Dial: %v", err)
 	}
 	defer c.Close()
-	if _, err := c.Add2(ctx, mf.New2(1.0), mf.New2(2.0)); !IsRetryable(err) {
+	if _, err := Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0)); !IsRetryable(err) {
 		t.Fatalf("call against dead backend: err %v, want retryable", err)
 	}
 }

@@ -209,7 +209,7 @@ func TestSumExactRestartsWholeStream(t *testing.T) {
 	}
 	defer c.Close()
 
-	got, err := c.SumExact(context.Background(), xs)
+	got, err := SumExact(context.Background(), c, xs)
 	if err != nil {
 		t.Fatalf("SumExact: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestSumExactBadRequestMidStreamNotRetried(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.SumExact(context.Background(), make([]float64, 40)); !errors.Is(err, ErrBadRequest) {
+	if _, err := SumExact(context.Background(), c, make([]float64, 40)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("err = %v, want ErrBadRequest", err)
 	}
 	mu.Lock()

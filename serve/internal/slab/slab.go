@@ -6,8 +6,10 @@
 //
 // A view aliases its input: a write through one is a write to the
 // other. That is why the views stay inside serve/, where each one's
-// lifetime is a single frame's; exported APIs such as wire.Pack* and
-// wire.Unpack* return copies.
+// lifetime is a single frame's. Exported APIs hand out a view only of
+// memory nothing else holds: serve/client's typed calls return views of
+// their own decoded response, while wire.Pack* and wire.Unpack* return
+// copies.
 package slab
 
 import (
@@ -16,9 +18,11 @@ import (
 	"multifloats/mf"
 )
 
-// Expansion is an expansion type a slab can be viewed as.
+// Expansion is a type a slab can be viewed as: an expansion of width 2,
+// 3 or 4, or a plain float64 as width 1, which the exact reductions
+// allow.
 type Expansion interface {
-	mf.Float64x2 | mf.Float64x3 | mf.Float64x4
+	float64 | mf.Float64x2 | mf.Float64x3 | mf.Float64x4
 }
 
 // Bytes returns the memory of s as 8·len(s) bytes.
@@ -32,7 +36,7 @@ func Bytes(s []float64) []byte {
 // As returns s as len(s)/w expansions of width w; a trailing partial
 // expansion is left out.
 func As[E Expansion](s []float64) []E {
-	w := width[E]()
+	w := Width[E]()
 	if len(s) < w {
 		return nil
 	}
@@ -44,10 +48,11 @@ func Flat[E Expansion](v []E) []float64 {
 	if len(v) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&v[0])), len(v)*width[E]())
+	return unsafe.Slice((*float64)(unsafe.Pointer(&v[0])), len(v)*Width[E]())
 }
 
-func width[E Expansion]() int {
+// Width is the number of float64 components in one E.
+func Width[E Expansion]() int {
 	var e E
 	return int(unsafe.Sizeof(e)) / 8
 }

@@ -13,6 +13,7 @@ import (
 
 	"multifloats/internal/diffuzz"
 	"multifloats/mf"
+	"multifloats/serve/client"
 	"multifloats/serve/wire"
 )
 
@@ -71,7 +72,7 @@ func TestProxyMathParityAndCache(t *testing.T) {
 			}
 			copy(c.x[:], gen.Expansion(2, lead))
 			copy(c.y[:], gen.Expansion(2, lead))
-			got, err := cl.Math2(ctx, op, c.x, c.y)
+			got, err := client.Scalar(ctx, cl, op, c.x, c.y)
 			if err != nil {
 				t.Fatalf("round %d Math2(%s): %v", i, op, err)
 			}
@@ -90,7 +91,7 @@ func TestProxyMathParityAndCache(t *testing.T) {
 	// Pass two: identical requests must hit and return identical bits.
 	for _, op := range ops {
 		for i, c := range caps[op] {
-			got, err := cl.Math2(ctx, op, c.x, c.y)
+			got, err := client.Scalar(ctx, cl, op, c.x, c.y)
 			if err != nil || !eqb2(got, c.got) {
 				t.Fatalf("round %d cached Math2(%s) drifted: %v", i, op, err)
 			}
@@ -107,11 +108,11 @@ func TestProxyMathParityAndCache(t *testing.T) {
 	// NaN-collapse results are content-addressed like any other: the
 	// cached bits must replay exactly (NaN payload included).
 	nanX := mf.Float64x2{math.NaN(), 0}
-	first, err := cl.Math2(ctx, wire.OpLog, nanX, mf.Float64x2{})
+	first, err := client.Scalar(ctx, cl, wire.OpLog, nanX, mf.Float64x2{})
 	if err != nil {
 		t.Fatalf("Math2(log, NaN): %v", err)
 	}
-	again, err := cl.Math2(ctx, wire.OpLog, nanX, mf.Float64x2{})
+	again, err := client.Scalar(ctx, cl, wire.OpLog, nanX, mf.Float64x2{})
 	if err != nil || math.Float64bits(again[0]) != math.Float64bits(first[0]) ||
 		math.Float64bits(again[1]) != math.Float64bits(first[1]) {
 		t.Fatalf("cached NaN collapse drifted: first=%v again=%v err=%v", first, again, err)

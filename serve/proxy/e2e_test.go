@@ -144,12 +144,12 @@ func TestProxyParityAndCache(t *testing.T) {
 		copy(c.x2[:], gen.Expansion(2, 200))
 		copy(c.y2[:], gen.Expansion(2, 200))
 
-		got, err := cl.Add2(ctx, c.x2, c.y2)
+		got, err := client.Scalar(ctx, cl, wire.OpAdd, c.x2, c.y2)
 		if err != nil || !eqb2(got, c.x2.Add(c.y2)) {
 			t.Fatalf("round %d Add2 parity: %v", i, err)
 		}
 		c.add = got
-		got, err = cl.Mul2(ctx, c.x2, c.y2)
+		got, err = client.Scalar(ctx, cl, wire.OpMul, c.x2, c.y2)
 		if err != nil || !eqb2(got, c.x2.Mul(c.y2)) {
 			t.Fatalf("round %d Mul2 parity: %v", i, err)
 		}
@@ -162,13 +162,13 @@ func TestProxyParityAndCache(t *testing.T) {
 			copy(c.dx[j][:], gen.BlasElement(2))
 			copy(c.dy[j][:], gen.BlasElement(2))
 		}
-		c.dot, err = cl.Dot2(ctx, c.dx, c.dy)
+		c.dot, err = client.Dot(ctx, cl, c.dx, c.dy)
 		if err != nil || !eqb2(c.dot, blas.DotF2Parallel(c.dx, c.dy, 1)) {
 			t.Fatalf("round %d Dot2 parity: %v", i, err)
 		}
 
 		c.sumIn = flat1(gen, 16+i)
-		c.sum, err = cl.SumExact(ctx, c.sumIn)
+		c.sum, err = client.SumExact(ctx, cl, c.sumIn)
 		if err != nil || math.Float64bits(c.sum) != math.Float64bits(exact.Sum(c.sumIn)) {
 			t.Fatalf("round %d SumExact parity: %v", i, err)
 		}
@@ -181,16 +181,16 @@ func TestProxyParityAndCache(t *testing.T) {
 	// Pass two: identical requests, identical bits, served hot.
 	for i := 0; i < rounds; i++ {
 		c := &caps[i]
-		if got, err := cl.Add2(ctx, c.x2, c.y2); err != nil || !eqb2(got, c.add) {
+		if got, err := client.Scalar(ctx, cl, wire.OpAdd, c.x2, c.y2); err != nil || !eqb2(got, c.add) {
 			t.Fatalf("round %d cached Add2 drifted: %v", i, err)
 		}
-		if got, err := cl.Mul2(ctx, c.x2, c.y2); err != nil || !eqb2(got, c.mul) {
+		if got, err := client.Scalar(ctx, cl, wire.OpMul, c.x2, c.y2); err != nil || !eqb2(got, c.mul) {
 			t.Fatalf("round %d cached Mul2 drifted: %v", i, err)
 		}
-		if got, err := cl.Dot2(ctx, c.dx, c.dy); err != nil || !eqb2(got, c.dot) {
+		if got, err := client.Dot(ctx, cl, c.dx, c.dy); err != nil || !eqb2(got, c.dot) {
 			t.Fatalf("round %d cached Dot2 drifted: %v", i, err)
 		}
-		if got, err := cl.SumExact(ctx, c.sumIn); err != nil ||
+		if got, err := client.SumExact(ctx, cl, c.sumIn); err != nil ||
 			math.Float64bits(got) != math.Float64bits(c.sum) {
 			t.Fatalf("round %d cached SumExact drifted: %v", i, err)
 		}
@@ -225,7 +225,7 @@ func TestProxyStreamedReductionParity(t *testing.T) {
 
 	for round := 0; round < 4; round++ {
 		xs := flat1(gen, 300+round)
-		got, err := cl.SumExact(ctx, xs)
+		got, err := client.SumExact(ctx, cl, xs)
 		if err != nil {
 			t.Fatalf("round %d SumExact: %v", round, err)
 		}
@@ -239,7 +239,7 @@ func TestProxyStreamedReductionParity(t *testing.T) {
 		for i := range x2 {
 			copy(x2[i][:], gen.BlasElement(2))
 		}
-		got2, err := cl.SumExact2(ctx, x2)
+		got2, err := client.SumExact(ctx, cl, x2)
 		if err != nil {
 			t.Fatalf("round %d SumExact2: %v", round, err)
 		}
@@ -360,7 +360,7 @@ func TestProxyUnaryFailover(t *testing.T) {
 		var x, y mf.Float64x2
 		copy(x[:], gen.Expansion(2, 60))
 		copy(y[:], gen.Expansion(2, 60))
-		got, err := cl.Add2(ctx, x, y)
+		got, err := client.Scalar(ctx, cl, wire.OpAdd, x, y)
 		if err != nil {
 			t.Fatalf("request %d failed despite a healthy replica: %v", i, err)
 		}
@@ -462,7 +462,7 @@ func TestProxyDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	if _, err := cl.Add2(context.Background(), mf.New2(1.0), mf.New2(2.0)); err != nil {
+	if _, err := client.Scalar(context.Background(), cl, wire.OpAdd, mf.New2(1.0), mf.New2(2.0)); err != nil {
 		t.Fatalf("Add2: %v", err)
 	}
 	cl.Close()

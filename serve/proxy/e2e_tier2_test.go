@@ -17,6 +17,7 @@ import (
 	"multifloats/internal/diffuzz"
 	"multifloats/internal/exact"
 	"multifloats/mf"
+	"multifloats/serve/client"
 	"multifloats/serve/wire"
 )
 
@@ -62,11 +63,11 @@ func TestProxyBehindProxy(t *testing.T) {
 		copy(c.x2[:], gen.Expansion(2, 200))
 		copy(c.y2[:], gen.Expansion(2, 200))
 		var err error
-		c.add, err = cl.Add2(ctx, c.x2, c.y2)
+		c.add, err = client.Scalar(ctx, cl, wire.OpAdd, c.x2, c.y2)
 		if err != nil || !eqb2(c.add, c.x2.Add(c.y2)) {
 			t.Fatalf("round %d two-tier Add2 parity: %v", i, err)
 		}
-		c.mul, err = cl.Mul2(ctx, c.x2, c.y2)
+		c.mul, err = client.Scalar(ctx, cl, wire.OpMul, c.x2, c.y2)
 		if err != nil || !eqb2(c.mul, c.x2.Mul(c.y2)) {
 			t.Fatalf("round %d two-tier Mul2 parity: %v", i, err)
 		}
@@ -77,12 +78,12 @@ func TestProxyBehindProxy(t *testing.T) {
 			copy(c.dx[j][:], gen.BlasElement(2))
 			copy(c.dy[j][:], gen.BlasElement(2))
 		}
-		c.dot, err = cl.Dot2(ctx, c.dx, c.dy)
+		c.dot, err = client.Dot(ctx, cl, c.dx, c.dy)
 		if err != nil || !eqb2(c.dot, blas.DotF2Parallel(c.dx, c.dy, 1)) {
 			t.Fatalf("round %d two-tier Dot2 parity: %v", i, err)
 		}
 		c.sumIn = flat1(gen, 16+i)
-		c.sum, err = cl.SumExact(ctx, c.sumIn)
+		c.sum, err = client.SumExact(ctx, cl, c.sumIn)
 		if err != nil || math.Float64bits(c.sum) != math.Float64bits(exact.Sum(c.sumIn)) {
 			t.Fatalf("round %d two-tier SumExact parity: %v", i, err)
 		}
@@ -98,16 +99,16 @@ func TestProxyBehindProxy(t *testing.T) {
 	hitsBefore := outer.stats.CacheHits.Load()
 	for i := 0; i < rounds; i++ {
 		c := &caps[i]
-		if got, err := cl.Add2(ctx, c.x2, c.y2); err != nil || !eqb2(got, c.add) {
+		if got, err := client.Scalar(ctx, cl, wire.OpAdd, c.x2, c.y2); err != nil || !eqb2(got, c.add) {
 			t.Fatalf("round %d cached two-tier Add2 drifted: %v", i, err)
 		}
-		if got, err := cl.Mul2(ctx, c.x2, c.y2); err != nil || !eqb2(got, c.mul) {
+		if got, err := client.Scalar(ctx, cl, wire.OpMul, c.x2, c.y2); err != nil || !eqb2(got, c.mul) {
 			t.Fatalf("round %d cached two-tier Mul2 drifted: %v", i, err)
 		}
-		if got, err := cl.Dot2(ctx, c.dx, c.dy); err != nil || !eqb2(got, c.dot) {
+		if got, err := client.Dot(ctx, cl, c.dx, c.dy); err != nil || !eqb2(got, c.dot) {
 			t.Fatalf("round %d cached two-tier Dot2 drifted: %v", i, err)
 		}
-		if got, err := cl.SumExact(ctx, c.sumIn); err != nil ||
+		if got, err := client.SumExact(ctx, cl, c.sumIn); err != nil ||
 			math.Float64bits(got) != math.Float64bits(c.sum) {
 			t.Fatalf("round %d cached two-tier SumExact drifted: %v", i, err)
 		}
@@ -133,7 +134,7 @@ func TestProxyHopAccounting(t *testing.T) {
 	ctx := context.Background()
 	x := mf.Float64x2{1.5, 0x1p-60}
 	y := mf.Float64x2{2.25, -0x1p-61}
-	got, err := cl.Add2(ctx, x, y)
+	got, err := client.Scalar(ctx, cl, wire.OpAdd, x, y)
 	if err != nil || !eqb2(got, x.Add(y)) {
 		t.Fatalf("Add2 through %d tiers (the hop cap): %v", wire.MaxProxyHops, err)
 	}
@@ -143,7 +144,7 @@ func TestProxyHopAccounting(t *testing.T) {
 	served := b.s.Stats().Requests.Load()
 	over := startChain(t, wire.MaxProxyHops+1, b.addr())
 	clOver := dialProxy(t, over[0])
-	if _, err := clOver.Add2(ctx, x, y); err == nil {
+	if _, err := client.Scalar(ctx, clOver, wire.OpAdd, x, y); err == nil {
 		t.Fatalf("Add2 through %d tiers succeeded past the hop cap", wire.MaxProxyHops+1)
 	}
 	innermost := over[len(over)-1]

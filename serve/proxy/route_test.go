@@ -7,6 +7,7 @@ import (
 
 	"multifloats/mf"
 	"multifloats/serve/client"
+	"multifloats/serve/wire"
 )
 
 func testBackends(n int) []*backend {
@@ -30,7 +31,7 @@ func retryableErr(t *testing.T) error {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer cli.Close()
-	_, err = cli.Add2(context.Background(), mf.New2(1.0), mf.New2(2.0))
+	_, err = client.Scalar(context.Background(), cli, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 	if err == nil {
 		t.Fatal("call against a dead address succeeded")
 	}

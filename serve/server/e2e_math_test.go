@@ -188,33 +188,33 @@ func mathParityRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, op
 	var x2, y2 mf.Float64x2
 	copy(x2[:], gen.Expansion(2, lead))
 	copy(y2[:], gen.Expansion(2, lead))
-	got2, err := c.Math2(ctx, op, x2, y2)
+	got2, err := client.Scalar(ctx, c, op, x2, y2)
 	if err != nil {
 		return fmt.Errorf("Math2(%s): %w", op, err)
 	}
-	if want := localMath2(op, x2, y2); !eq2(got2, want) {
+	if want := localMath2(op, x2, y2); !eq(got2, want) {
 		return fmt.Errorf("Math2(%s) parity: x=%v y=%v got=%v want=%v", op, x2, y2, got2, want)
 	}
 
 	var x3, y3 mf.Float64x3
 	copy(x3[:], gen.Expansion(3, lead))
 	copy(y3[:], gen.Expansion(3, lead))
-	got3, err := c.Math3(ctx, op, x3, y3)
+	got3, err := client.Scalar(ctx, c, op, x3, y3)
 	if err != nil {
 		return fmt.Errorf("Math3(%s): %w", op, err)
 	}
-	if want := localMath3(op, x3, y3); !eq3(got3, want) {
+	if want := localMath3(op, x3, y3); !eq(got3, want) {
 		return fmt.Errorf("Math3(%s) parity: x=%v y=%v got=%v want=%v", op, x3, y3, got3, want)
 	}
 
 	var x4, y4 mf.Float64x4
 	copy(x4[:], gen.Expansion(4, lead))
 	copy(y4[:], gen.Expansion(4, lead))
-	got4, err := c.Math4(ctx, op, x4, y4)
+	got4, err := client.Scalar(ctx, c, op, x4, y4)
 	if err != nil {
 		return fmt.Errorf("Math4(%s): %w", op, err)
 	}
-	if want := localMath4(op, x4, y4); !eq4(got4, want) {
+	if want := localMath4(op, x4, y4); !eq(got4, want) {
 		return fmt.Errorf("Math4(%s) parity: x=%v y=%v got=%v want=%v", op, x4, y4, got4, want)
 	}
 	return nil
@@ -235,12 +235,12 @@ func TestE2EMathSliceParity(t *testing.T) {
 			copy(xs[i][:], gen.Expansion(3, mathLead(op, i)))
 			copy(ys[i][:], gen.Expansion(3, mathLead(op, i)))
 		}
-		got, err := c.MathSlice3(ctx, op, xs, ys)
+		got, err := client.Elementwise(ctx, c, op, xs, ys)
 		if err != nil {
 			t.Fatalf("MathSlice3(%s): %v", op, err)
 		}
 		for i := range xs {
-			if want := localMath3(op, xs[i], ys[i]); !eq3(got[i], want) {
+			if want := localMath3(op, xs[i], ys[i]); !eq(got[i], want) {
 				t.Fatalf("MathSlice3(%s)[%d]: got %v want %v", op, i, got[i], want)
 			}
 		}
@@ -259,12 +259,12 @@ func TestE2EMathSpecialValues(t *testing.T) {
 			for _, sy := range specials {
 				x := mf.Float64x2{sx, 0}
 				y := mf.Float64x2{sy, 0}
-				got, err := c.Math2(ctx, op, x, y)
+				got, err := client.Scalar(ctx, c, op, x, y)
 				if err != nil {
 					t.Fatalf("Math2(%s, %v, %v): %v", op, sx, sy, err)
 				}
 				want := localMath2(op, x, y)
-				if !eq2(got, want) {
+				if !eq(got, want) {
 					t.Fatalf("Math2(%s, %v, %v): got %v want %v", op, sx, sy, got, want)
 				}
 			}
@@ -285,23 +285,14 @@ func TestE2EMathHugeTrigArgs(t *testing.T) {
 	for _, op := range []wire.Op{wire.OpSin, wire.OpCos, wire.OpTan} {
 		for _, a := range args {
 			x := mf.Float64x4{a, 0, 0, 0}
-			got, err := c.Math4(ctx, op, x, mf.Float64x4{})
+			got, err := client.Scalar(ctx, c, op, x, mf.Float64x4{})
 			if err != nil {
 				t.Fatalf("Math4(%s, %g): %v", op, a, err)
 			}
 			want := localMath4(op, x, mf.Float64x4{})
-			if !eq4(got, want) {
+			if !eq(got, want) {
 				t.Fatalf("Math4(%s, %g): got %v want %v", op, a, got, want)
 			}
 		}
-	}
-}
-
-// TestE2EMathRejectsNonMathOp: the client-side gate refuses to send a
-// non-transcendental op through the Math methods.
-func TestE2EMathRejectsNonMathOp(t *testing.T) {
-	_, c := startE2E(t, server.Config{})
-	if _, err := c.Math2(context.Background(), wire.OpAdd, mf.New2(1.0), mf.New2(2.0)); err == nil {
-		t.Fatal("Math2(OpAdd) succeeded; want ErrBadRequest")
 	}
 }

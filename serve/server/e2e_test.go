@@ -15,7 +15,9 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +26,9 @@ import (
 	"multifloats/internal/diffuzz"
 	"multifloats/mf"
 	"multifloats/serve/client"
+	"multifloats/serve/internal/slab"
 	"multifloats/serve/server"
+	"multifloats/serve/wire"
 )
 
 func startE2E(t *testing.T, cfg server.Config) (*server.Server, *client.Client) {
@@ -54,26 +58,8 @@ func startE2E(t *testing.T, cfg server.Config) (*server.Server, *client.Client) 
 	return s, c
 }
 
-func eq2(a, b mf.Float64x2) bool {
-	return math.Float64bits(a[0]) == math.Float64bits(b[0]) &&
-		math.Float64bits(a[1]) == math.Float64bits(b[1])
-}
-func eq3(a, b mf.Float64x3) bool {
-	for k := 0; k < 3; k++ {
-		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
-			return false
-		}
-	}
-	return true
-}
-func eq4(a, b mf.Float64x4) bool {
-	for k := 0; k < 4; k++ {
-		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
-			return false
-		}
-	}
-	return true
-}
+// eq reports whether a and b hold the same bits.
+func eq[E client.Expansion](a, b E) bool { return same([]E{a}, []E{b}) }
 
 // TestE2EBitExactParity drives every op at every width concurrently and
 // demands bit-identical results to the in-process calls.
@@ -96,7 +82,11 @@ func TestE2EBitExactParity(t *testing.T) {
 			defer wg.Done()
 			gen := diffuzz.NewGen(int64(1000 + g))
 			for it := 0; it < iters; it++ {
-				if err := oneParityRound(ctx, c, gen, it); err != nil {
+				if err := errors.Join(
+					oneParityRound(ctx, c, gen, it, kernels2),
+					oneParityRound(ctx, c, gen, it, kernels3),
+					oneParityRound(ctx, c, gen, it, kernels4),
+				); err != nil {
 					errs <- err
 					return
 				}
@@ -114,121 +104,125 @@ func e2eErr(what string, err error) error {
 	return errors.Join(errors.New(what), err)
 }
 
-// oneParityRound exercises one iteration of mixed traffic at all widths.
-func oneParityRound(ctx context.Context, c *client.Client, gen *diffuzz.Gen, it int) error {
-	// --- scalar ops, width 2/3/4, adversarial operands ---
-	var x2, y2 mf.Float64x2
-	copy(x2[:], gen.Expansion(2, 200))
-	copy(y2[:], gen.Expansion(2, 200))
-	if got, err := c.Add2(ctx, x2, y2); err != nil || !eq2(got, x2.Add(y2)) {
-		return e2eErr("Add2 parity", err)
+// expansion is a typed-call element type with mf's local arithmetic.
+type expansion[E any] interface {
+	client.Expansion
+	Add(E) E
+	Sub(E) E
+	Mul(E) E
+	Div(E) E
+	Sqrt() E
+}
+
+// blasKernels are one width's local BLAS kernels, the references for
+// the remote BLAS calls.
+type blasKernels[E any] struct {
+	dot  func(x, y []E, workers int) E
+	axpy func(alpha E, x, y []E, workers int)
+	gemv func(a []E, n, m int, x, y []E, workers int)
+	gemm func(a, b, c []E, n, workers int)
+}
+
+var (
+	kernels2 = blasKernels[mf.Float64x2]{blas.DotF2Parallel[float64], blas.AxpyF2Parallel[float64],
+		blas.GemvTiledF2Parallel[float64], blas.GemmBlockedF2Parallel[float64]}
+	kernels3 = blasKernels[mf.Float64x3]{blas.DotF3Parallel[float64], blas.AxpyF3Parallel[float64],
+		blas.GemvTiledF3Parallel[float64], blas.GemmBlockedF3Parallel[float64]}
+	kernels4 = blasKernels[mf.Float64x4]{blas.DotF4Parallel[float64], blas.AxpyF4Parallel[float64],
+		blas.GemvTiledF4Parallel[float64], blas.GemmBlockedF4Parallel[float64]}
+)
+
+// same reports whether got and want hold the same bits.
+func same[E client.Expansion](got, want []E) bool {
+	g, w := slab.Flat(got), slab.Flat(want)
+	for i := range g {
+		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+			return false
+		}
 	}
-	if got, err := c.Mul2(ctx, x2, y2); err != nil || !eq2(got, x2.Mul(y2)) {
-		return e2eErr("Mul2 parity", err)
+	return len(g) == len(w)
+}
+
+// oneParityRound exercises one iteration of mixed traffic at E's width:
+// every scalar, elementwise and BLAS call, against the local kernels.
+func oneParityRound[E expansion[E]](ctx context.Context, c *client.Client, gen *diffuzz.Gen, it int, k blasKernels[E]) error {
+	w := slab.Width[E]()
+	elem := func(comps []float64) E { return slab.As[E](comps)[0] }
+	vector := func(n int) []E {
+		v := make([]E, n)
+		for i := range v {
+			v[i] = elem(gen.BlasElement(w))
+		}
+		return v
+	}
+	check := func(what string, got, want []E, err error) error {
+		if err != nil || !same(got, want) {
+			return e2eErr(fmt.Sprintf("%s width %d parity", what, w), err)
+		}
+		return nil
 	}
 
-	var x3, y3 mf.Float64x3
-	copy(x3[:], gen.Expansion(3, 120))
-	copy(y3[:], gen.NonZero(3, 120))
-	if got, err := c.Sub3(ctx, x3, y3); err != nil || !eq3(got, x3.Sub(y3)) {
-		return e2eErr("Sub3 parity", err)
-	}
-	if got, err := c.Div3(ctx, x3, y3); err != nil || !eq3(got, x3.Div(y3)) {
-		return e2eErr("Div3 parity", err)
-	}
-
-	var x4 mf.Float64x4
-	copy(x4[:], gen.Positive(4, 100))
-	if got, err := c.Sqrt4(ctx, x4); err != nil || !eq4(got, x4.Sqrt()) {
-		return e2eErr("Sqrt4 parity", err)
+	// --- scalar ops, adversarial operands ---
+	x, y, pos := elem(gen.Expansion(w, 200)), elem(gen.NonZero(w, 120)), elem(gen.Positive(w, 100))
+	var none E
+	for _, tc := range []struct {
+		op         wire.Op
+		x, y, want E
+	}{
+		{wire.OpAdd, x, y, x.Add(y)},
+		{wire.OpSub, x, y, x.Sub(y)},
+		{wire.OpMul, x, y, x.Mul(y)},
+		{wire.OpDiv, x, y, x.Div(y)},
+		{wire.OpSqrt, pos, none, pos.Sqrt()},
+	} {
+		got, err := client.Scalar(ctx, c, tc.op, tc.x, tc.y)
+		if err := check(tc.op.String(), []E{got}, []E{tc.want}, err); err != nil {
+			return err
+		}
 	}
 
 	// --- elementwise slices ---
 	n := 16 + it%17
-	xs := make([]mf.Float64x2, n)
-	ys := make([]mf.Float64x2, n)
+	xs, ys := vector(n), vector(n)
+	sums, prods := make([]E, n), make([]E, n)
 	for i := range xs {
-		copy(xs[i][:], gen.BlasElement(2))
-		copy(ys[i][:], gen.BlasElement(2))
+		sums[i], prods[i] = xs[i].Add(ys[i]), xs[i].Mul(ys[i])
 	}
-	gotS, err := c.MulSlice2(ctx, xs, ys)
-	if err != nil {
-		return e2eErr("MulSlice2", err)
+	got, err := client.Elementwise(ctx, c, wire.OpAdd, xs, ys)
+	if err := check("elementwise add", got, sums, err); err != nil {
+		return err
 	}
-	for i := range xs {
-		if !eq2(gotS[i], xs[i].Mul(ys[i])) {
-			return errors.New("MulSlice2 parity: element mismatch")
-		}
+	got, err = client.Elementwise(ctx, c, wire.OpMul, xs, ys)
+	if err := check("elementwise mul", got, prods, err); err != nil {
+		return err
 	}
 
-	// --- BLAS: dot / axpy / gemv / gemm at rotating widths ---
-	switch it % 3 {
-	case 0:
-		vx := make([]mf.Float64x2, n)
-		vy := make([]mf.Float64x2, n)
-		for i := range vx {
-			copy(vx[i][:], gen.BlasElement(2))
-			copy(vy[i][:], gen.BlasElement(2))
-		}
-		got, err := c.Dot2(ctx, vx, vy)
-		if err != nil || !eq2(got, blas.DotF2Parallel(vx, vy, 1)) {
-			return e2eErr("Dot2 parity", err)
-		}
-		var alpha mf.Float64x2
-		copy(alpha[:], gen.BlasElement(2))
-		want := append([]mf.Float64x2(nil), vy...)
-		blas.AxpyF2Parallel(alpha, vx, want, 1)
-		gotA, err := c.Axpy2(ctx, alpha, vx, vy)
-		if err != nil {
-			return e2eErr("Axpy2", err)
-		}
-		for i := range want {
-			if !eq2(gotA[i], want[i]) {
-				return errors.New("Axpy2 parity: element mismatch")
-			}
-		}
-	case 1:
-		rows, cols := 8+it%5, 8+it%7
-		a := make([]mf.Float64x3, rows*cols)
-		vx := make([]mf.Float64x3, cols)
-		for i := range a {
-			copy(a[i][:], gen.BlasElement(3))
-		}
-		for i := range vx {
-			copy(vx[i][:], gen.BlasElement(3))
-		}
-		got, err := c.Gemv3(ctx, a, rows, cols, vx)
-		if err != nil {
-			return e2eErr("Gemv3", err)
-		}
-		want := make([]mf.Float64x3, rows)
-		blas.GemvTiledF3Parallel(a, rows, cols, vx, want, 1)
-		for i := range want {
-			if !eq3(got[i], want[i]) {
-				return errors.New("Gemv3 parity: element mismatch")
-			}
-		}
-	default:
-		dim := 6 + it%4
-		a := make([]mf.Float64x4, dim*dim)
-		b := make([]mf.Float64x4, dim*dim)
-		for i := range a {
-			copy(a[i][:], gen.BlasElement(4))
-			copy(b[i][:], gen.BlasElement(4))
-		}
-		got, err := c.Gemm4(ctx, a, b, dim)
-		if err != nil {
-			return e2eErr("Gemm4", err)
-		}
-		want := make([]mf.Float64x4, dim*dim)
-		blas.GemmBlockedF4Parallel(a, b, want, dim, 1)
-		for i := range want {
-			if !eq4(got[i], want[i]) {
-				return errors.New("Gemm4 parity: element mismatch")
-			}
-		}
+	// --- BLAS: dot, axpy, gemv, gemm ---
+	dot, err := client.Dot(ctx, c, xs, ys)
+	if err := check("dot", []E{dot}, []E{k.dot(xs, ys, 1)}, err); err != nil {
+		return err
 	}
-	return nil
+	alpha := elem(gen.BlasElement(w))
+	want := slices.Clone(ys)
+	k.axpy(alpha, xs, want, 1)
+	got, err = client.Axpy(ctx, c, alpha, xs, ys)
+	if err := check("axpy", got, want, err); err != nil {
+		return err
+	}
+	rows, cols := 8+it%5, 8+it%7
+	a, v := vector(rows*cols), vector(cols)
+	want = make([]E, rows)
+	k.gemv(a, rows, cols, v, want, 1)
+	got, err = client.Gemv(ctx, c, a, rows, cols, v)
+	if err := check("gemv", got, want, err); err != nil {
+		return err
+	}
+	dim := 6 + it%4
+	a, b := vector(dim*dim), vector(dim*dim)
+	want = make([]E, dim*dim)
+	k.gemm(a, b, want, dim, 1)
+	got, err = client.Gemm(ctx, c, a, b, dim)
+	return check("gemm", got, want, err)
 }
 
 // TestE2EScalarParityParallelWorkers re-runs the scalar paths against a
@@ -245,12 +239,12 @@ func TestE2EScalarParityParallelWorkers(t *testing.T) {
 		copy(xs[i][:], gen.Expansion(4, 150))
 		copy(ys[i][:], gen.Expansion(4, 150))
 	}
-	got, err := c.AddSlice4(ctx, xs, ys)
+	got, err := client.Elementwise(ctx, c, wire.OpAdd, xs, ys)
 	if err != nil {
 		t.Fatalf("AddSlice4: %v", err)
 	}
 	for i := range xs {
-		if !eq4(got[i], xs[i].Add(ys[i])) {
+		if !eq(got[i], xs[i].Add(ys[i])) {
 			t.Fatalf("AddSlice4[%d]: not bit-exact", i)
 		}
 	}
@@ -264,7 +258,7 @@ func TestE2EDeadlineFailFast(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Add2(ctx, mf.New2(1.0), mf.New2(2.0))
+	_, err := client.Scalar(ctx, c, wire.OpAdd, mf.New2(1.0), mf.New2(2.0))
 	elapsed := time.Since(start)
 	if !errors.Is(err, client.ErrDeadlineExceeded) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
@@ -284,7 +278,7 @@ func TestE2EExpiredBlasRequest(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	x := make([]mf.Float64x2, 32)
-	_, err := c.Dot2(ctx, x, x)
+	_, err := client.Dot(ctx, c, x, x)
 	if !errors.Is(err, client.ErrDeadlineExceeded) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -298,7 +292,7 @@ func TestE2ESpecialValues(t *testing.T) {
 	_, c := startE2E(t, server.Config{})
 	ctx := context.Background()
 	nan2 := mf.Float64x2{math.NaN(), 0}
-	got, err := c.Add2(ctx, nan2, mf.New2(1.0))
+	got, err := client.Scalar(ctx, c, wire.OpAdd, nan2, mf.New2(1.0))
 	if err != nil {
 		t.Fatalf("Add2(NaN): %v", err)
 	}
@@ -306,16 +300,16 @@ func TestE2ESpecialValues(t *testing.T) {
 		t.Fatalf("NaN did not propagate: %v", got)
 	}
 	inf3 := mf.Float64x3{math.Inf(1), 0, 0}
-	got3, err := c.Mul3(ctx, inf3, mf.New3(2.0))
+	got3, err := client.Scalar(ctx, c, wire.OpMul, inf3, mf.New3(2.0))
 	if err != nil {
 		t.Fatalf("Mul3(Inf): %v", err)
 	}
 	want3 := inf3.Mul(mf.New3(2.0))
-	if !eq3(got3, want3) {
+	if !eq(got3, want3) {
 		t.Fatalf("Inf collapse mismatch: got %v want %v", got3, want3)
 	}
 	zneg := mf.Float64x2{math.Copysign(0, -1), 0}
-	gotz, err := c.Sqrt2(ctx, zneg)
+	gotz, err := client.Scalar(ctx, c, wire.OpSqrt, zneg, mf.Float64x2{})
 	if err != nil {
 		t.Fatalf("Sqrt2(-0): %v", err)
 	}
@@ -332,29 +326,29 @@ func TestE2EAllOpsAccepted(t *testing.T) {
 	ctx := context.Background()
 	x2, y2 := mf.New2(9.0), mf.New2(4.0)
 	for name, call := range map[string]func() error{
-		"add": func() error { _, err := c.Add2(ctx, x2, y2); return err },
-		"sub": func() error { _, err := c.Sub2(ctx, x2, y2); return err },
-		"mul": func() error { _, err := c.Mul2(ctx, x2, y2); return err },
-		"div": func() error { _, err := c.Div2(ctx, x2, y2); return err },
+		"add": func() error { _, err := client.Scalar(ctx, c, wire.OpAdd, x2, y2); return err },
+		"sub": func() error { _, err := client.Scalar(ctx, c, wire.OpSub, x2, y2); return err },
+		"mul": func() error { _, err := client.Scalar(ctx, c, wire.OpMul, x2, y2); return err },
+		"div": func() error { _, err := client.Scalar(ctx, c, wire.OpDiv, x2, y2); return err },
 		"sqrt": func() error {
-			got, err := c.Sqrt2(ctx, x2)
+			got, err := client.Scalar(ctx, c, wire.OpSqrt, x2, mf.Float64x2{})
 			if err == nil && got.Float() != 3 {
 				return errors.New("sqrt(9) != 3")
 			}
 			return err
 		},
 		"axpy": func() error {
-			_, err := c.Axpy2(ctx, x2, []mf.Float64x2{y2}, []mf.Float64x2{x2})
+			_, err := client.Axpy(ctx, c, x2, []mf.Float64x2{y2}, []mf.Float64x2{x2})
 			return err
 		},
-		"dot": func() error { _, err := c.Dot2(ctx, []mf.Float64x2{x2}, []mf.Float64x2{y2}); return err },
+		"dot": func() error { _, err := client.Dot(ctx, c, []mf.Float64x2{x2}, []mf.Float64x2{y2}); return err },
 		"gemv": func() error {
-			_, err := c.Gemv2(ctx, []mf.Float64x2{x2, y2, y2, x2}, 2, 2, []mf.Float64x2{x2, y2})
+			_, err := client.Gemv(ctx, c, []mf.Float64x2{x2, y2, y2, x2}, 2, 2, []mf.Float64x2{x2, y2})
 			return err
 		},
 		"gemm": func() error {
 			a := []mf.Float64x2{x2, y2, y2, x2}
-			_, err := c.Gemm2(ctx, a, a, 2)
+			_, err := client.Gemm(ctx, c, a, a, 2)
 			return err
 		},
 	} {

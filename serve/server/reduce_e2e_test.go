@@ -105,23 +105,23 @@ func TestE2EReductionParity(t *testing.T) {
 				switch n {
 				case 1:
 					var s, d float64
-					s, serr = cl.SumExact(ctx, slabOf(x))
-					d, derr = cl.DotExact(ctx, slabOf(x), slabOf(y))
+					s, serr = client.SumExact(ctx, cl, slabOf(x))
+					d, derr = client.DotExact(ctx, cl, slabOf(x), slabOf(y))
 					sumGot, dotGot = []float64{s}, []float64{d}
 				case 2:
 					var s, d mf.Float64x2
-					s, serr = cl.SumExact2(ctx, to2s(x))
-					d, derr = cl.DotExact2(ctx, to2s(x), to2s(y))
+					s, serr = client.SumExact(ctx, cl, to2s(x))
+					d, derr = client.DotExact(ctx, cl, to2s(x), to2s(y))
 					sumGot, dotGot = s[:], d[:]
 				case 3:
 					var s, d mf.Float64x3
-					s, serr = cl.SumExact3(ctx, to3s(x))
-					d, derr = cl.DotExact3(ctx, to3s(x), to3s(y))
+					s, serr = client.SumExact(ctx, cl, to3s(x))
+					d, derr = client.DotExact(ctx, cl, to3s(x), to3s(y))
 					sumGot, dotGot = s[:], d[:]
 				default:
 					var s, d mf.Float64x4
-					s, serr = cl.SumExact4(ctx, to4s(x))
-					d, derr = cl.DotExact4(ctx, to4s(x), to4s(y))
+					s, serr = client.SumExact(ctx, cl, to4s(x))
+					d, derr = client.DotExact(ctx, cl, to4s(x), to4s(y))
 					sumGot, dotGot = s[:], d[:]
 				}
 				if serr != nil || derr != nil {
@@ -152,14 +152,14 @@ func TestE2EReductionParity(t *testing.T) {
 func TestE2EReductionEmpty(t *testing.T) {
 	_, c := startE2E(t, server.Config{})
 	ctx := context.Background()
-	got, err := c.SumExact(ctx, nil)
+	got, err := client.SumExact[float64](ctx, c, nil)
 	if err != nil {
 		t.Fatalf("SumExact(nil): %v", err)
 	}
 	if math.Float64bits(got) != 0 {
 		t.Fatalf("SumExact(nil) = %v (%#x), want +0", got, math.Float64bits(got))
 	}
-	got4, err := c.DotExact4(ctx, nil, nil)
+	got4, err := client.DotExact[mf.Float64x4](ctx, c, nil, nil)
 	if err != nil {
 		t.Fatalf("DotExact4(nil): %v", err)
 	}
@@ -191,7 +191,7 @@ func TestE2EReductionLargeStream(t *testing.T) {
 		xs[i] = v
 	}
 	want := exact.Sum(xs)
-	got, err := cs.SumExact(ctx, xs)
+	got, err := client.SumExact(ctx, cs, xs)
 	if err != nil {
 		t.Fatalf("SumExact: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestE2EReductionLargeStream(t *testing.T) {
 	}
 	// And the default-chunk client (65536-element chunks, a different
 	// split of the same stream) agrees bit-for-bit.
-	gotDefault, err := c.SumExact(ctx, xs)
+	gotDefault, err := client.SumExact(ctx, c, xs)
 	if err != nil {
 		t.Fatalf("default-chunk SumExact: %v", err)
 	}
