@@ -3,7 +3,9 @@
 // that coalesces compatible scalar requests into vectorized slabs
 // executed on the internal/blas worker pool, bounded queues with
 // reject-with-retry-after backpressure, per-request deadline enforcement
-// via contexts, and graceful drain on shutdown.
+// (a scalar request's lane compares its wire deadline with the clock;
+// BLAS and reduction frames run under a context bounded by it), and
+// graceful drain on shutdown.
 //
 // Request flow: each connection gets a reader goroutine. Scalar requests
 // (the Add/Sub/Mul/Div/Sqrt arithmetic and the Exp..Hypot transcendental
@@ -157,16 +159,14 @@ func (c *srvConn) Close() { c.dropAllReductions() }
 // Handle dispatches one validated request. Every answer goes to the
 // connection's queued writer, so Handle never waits on the peer.
 func (c *srvConn) Handle(req *wire.Request) {
-	ctx, cancel := c.RequestContext(req)
-
 	if req.Op.Scalar() {
-		p := &pending{
-			c: c, id: req.ID, ctx: ctx, cancel: cancel,
+		c.s.lanes[laneKey{req.Op, req.Width}].enqueue(&pending{
+			c: c, id: req.ID, deadline: req.Deadline,
 			count: req.Count, x: req.X, y: req.Y,
-		}
-		c.s.lanes[laneKey{req.Op, req.Width}].enqueue(p)
+		})
 		return
 	}
+	ctx, cancel := c.RequestContext(req)
 	defer cancel()
 
 	// Streaming reductions fold on the reader goroutine, keeping the

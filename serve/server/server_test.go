@@ -142,6 +142,24 @@ func TestMaxBatchFlush(t *testing.T) {
 	}
 }
 
+// TestExpiredScalarFrame: a scalar frame whose deadline has already
+// passed is answered StatusDeadlineExceeded by its lane at once, long
+// before the window, without executing: it counts as a deadline miss
+// and runs no batch.
+func TestExpiredScalarFrame(t *testing.T) {
+	s := startTestServer(t, Config{BatchWindow: 10 * time.Second, MaxBatch: 64})
+	c := dialTest(t, s)
+	c.send(t, &wire.Request{ID: 7, Deadline: time.Now().Add(-time.Second), Op: wire.OpAdd, Width: 2, Count: 1,
+		X: []float64{1, 0}, Y: []float64{2, 0}})
+	if resp := c.recv(t); resp.ID != 7 || resp.Status != wire.StatusDeadlineExceeded || len(resp.Data) != 0 {
+		t.Fatalf("response %d: status %v, %d elements; want 7: DeadlineExceeded, none", resp.ID, resp.Status, len(resp.Data))
+	}
+	st := s.Stats().Snapshot()
+	if st.DeadlineMisses != 1 || st.Batches != 0 || st.QueueDepth != 0 {
+		t.Fatalf("deadline_misses=%d batches=%d queue_depth=%d, want 1/0/0", st.DeadlineMisses, st.Batches, st.QueueDepth)
+	}
+}
+
 // TestOverloadBackpressure: a full lane queue answers StatusOverloaded
 // with a retry hint instead of blocking or dropping silently.
 func TestOverloadBackpressure(t *testing.T) {
