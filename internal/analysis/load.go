@@ -61,11 +61,6 @@ func (ix *Index) BranchFree(pkgPath, key string) bool {
 	return ix.flags(pkgPath, key).BranchFree
 }
 
-// HotPath reports whether the function key in pkgPath carries //mf:hotpath.
-func (ix *Index) HotPath(pkgPath, key string) bool {
-	return ix.flags(pkgPath, key).HotPath
-}
-
 // NewLoader returns a loader rooted at the module containing dir (dir or
 // an ancestor must hold go.mod).
 func NewLoader(dir string) (*Loader, error) {
