@@ -125,8 +125,12 @@ ledger-check:
 # metric, each side's median and quartiles and how many pairs the
 # working tree won (the better direction comes from BENCHMARK.json),
 # plus failed operations per side.
-# BASE is exported with git archive into .bench_build/base; the reports
-# are kept in .bench_build/pairs/<workload>/{base,work}.<pair>.json.
+# Both sides run from an export made with git archive, so that they
+# differ only in their sources: BASE into .bench_build/base, and the
+# working tree, with its uncommitted edits and untracked files (what
+# `git add -A` would stage, staged through a scratch index), into
+# .bench_build/work. The reports are kept in
+# .bench_build/pairs/<workload>/{base,work}.<pair>.json.
 #   make ledger-pairs BASE=HEAD~1 WORKLOAD=proxy-relay PAIRS=10 SEED=7
 BASE ?= HEAD
 WORKLOAD ?= proxy-relay
@@ -134,15 +138,17 @@ PAIRS ?= 10
 SEED ?= 1
 ledger-pairs:
 	@set -e; \
-	base=.bench_build/base; out=.bench_build/pairs/$(WORKLOAD); \
-	rm -rf "$$base" "$$out"; mkdir -p "$$base" "$$out"; \
-	git archive "$(BASE)" | tar -x -C "$$base"; \
+	out=.bench_build/pairs/$(WORKLOAD); idx=.bench_build/work.index; \
+	rm -rf .bench_build/base .bench_build/work "$$out"; mkdir -p .bench_build/base .bench_build/work "$$out"; \
+	git archive "$(BASE)" | tar -x -C .bench_build/base; \
+	cp "$$(git rev-parse --git-path index)" "$$idx"; \
+	GIT_INDEX_FILE="$$idx" git add -A; tree=$$(GIT_INDEX_FILE="$$idx" git write-tree); rm -f "$$idx"; \
+	git archive "$$tree" | tar -x -C .bench_build/work; \
 	for i in $$(seq 1 $(PAIRS)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi; \
 		for side in $$order; do \
-			if [ $$side = base ]; then dir=$$base; else dir=.; fi; \
 			echo "ledger-pairs: pair $$i/$(PAIRS): $$side"; \
-			(cd "$$dir" && bash mfledger/run.sh --workload $(WORKLOAD) --seed $(SEED) --trace 0) \
+			(cd .bench_build/$$side && bash mfledger/run.sh --workload $(WORKLOAD) --seed $(SEED) --trace 0) \
 				| tail -n 1 > "$$out/$$side.$$i.json"; \
 			grep -q '"metrics"' "$$out/$$side.$$i.json" || { echo "ledger-pairs: $$side run $$i wrote no report"; exit 1; }; \
 		done; \
