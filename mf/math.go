@@ -12,6 +12,27 @@ import (
 // engine serves every (term count, base type) combination; the public
 // surface is the methods on F2/F3/F4.
 //
+// The Newton and series loops are sized from the bound they serve, once
+// per context in buildCtx:
+//
+//   - Newton (log, log1p, asin, cbrt) doubles the correct bits per step
+//     (paper §4.3: Recip4 is Recip2 plus one step), so from a seedBits-bit
+//     machine seed (53 on float64, 24 on float32) it runs
+//     ⌈log₂⌈bits/seedBits⌉⌉ steps plus one guard step.
+//   - exp, expm1 and sinh's small-argument branch evaluate their series
+//     in Horner form on the context's table of 1/n! expansions (built
+//     from big.Float, like ln 2 and π), so a term costs one Mul and one
+//     Add and no expansion division. Each keeps the fewest terms whose
+//     first omitted term is ≤ 2^-(bits+16) at the kernel's largest
+//     argument: |r| ≤ 2⁻¹⁰·ln 2 after exp's reduction and 2⁻⁹ scaling,
+//     |x| < ½ for expm1 and sinh.
+//
+// sin and cos keep their fused term recurrence (each term divides the
+// previous one by (i−1)·i) and its bits/6 + 8 term count: the golden
+// vectors of TestGoldenTrigBits pin their output bits at every width, so
+// another evaluation order or count would change those committed values
+// too, and they stay as they are here.
+//
 // Accuracy contract: every public function stays within the measured
 // per-(op, width) bounds recorded in TESTING.md ("Elementary functions"),
 // enforced continuously by the internal/diffuzz math tier against a
@@ -55,13 +76,15 @@ type mathCtx[E expLike[E, T], T Float] struct {
 	maxExpArg        float64 // exp overflow threshold for the base type
 	minExpArg        float64
 
-	expTerms int // Taylor terms for exp after 2^-9 scaling
-	sinTerms int // Taylor terms for sin/cos on |r| ≤ π/4
-	newtIter int // Newton iterations from a 53-bit (or 24-bit) seed
+	expTerms   int // Horner degree for exp on |r| ≤ 2⁻¹⁰·ln 2
+	expm1Terms int // Horner degree for expm1 on |x| < ½
+	sinhTerms  int // Horner degree (odd) for sinh on |x| < ½
+	invFact    []E // invFact[n] = 1/n!, n ≤ max(expTerms, expm1Terms, sinhTerms)
+	sinTerms   int // Taylor terms for sin/cos on |r| ≤ π/4
+	newtIter   int // Newton steps from the machine seed, guard step included
 
-	once  sync.Once
-	ln10  E // filled lazily via the engine itself
-	ln10v bool
+	once sync.Once
+	ln10 E // filled lazily via the engine itself
 }
 
 // buildCtx computes the constants from the package's decimal literals via
@@ -72,28 +95,65 @@ func buildCtx[E expLike[E, T], T Float](newE func(T) E, fromBig func(*big.Float)
 	half := new(big.Float).SetPrec(bigPrec).Quo(pi, big.NewFloat(2))
 
 	var maxArg, minArg float64
+	seedBits := 53
 	switch any(T(0)).(type) {
 	case float64:
 		maxArg, minArg = 709.78, -745.0 //mf:allow exactconst -- overflow guard just below ln(MaxFloat64)≈709.7827; exactness is irrelevant to a threshold
 	case float32:
 		maxArg, minArg = 88.72, -103.0 //mf:allow exactconst -- overflow guard just below ln(MaxFloat32)≈88.7228; exactness is irrelevant to a threshold
+		seedBits = 24
 	}
+
+	expR := new(big.Float).SetMantExp(ln2, -10)
+	halfR := big.NewFloat(0.5)
+	expTerms := seriesDegree(expR, 1, bits)
+	expm1Terms := seriesDegree(halfR, 1, bits)
+	sinhTerms := seriesDegree(halfR, 2, bits)
+	invFact := make([]E, max(expTerms, expm1Terms, sinhTerms)+1)
+	f := new(big.Float).SetPrec(bigPrec).SetInt64(1)
+	for n := range invFact {
+		if n > 1 {
+			f.Quo(f, new(big.Float).SetInt64(int64(n)))
+		}
+		invFact[n] = fromBig(f)
+	}
+
 	return &mathCtx[E, T]{
-		new:       newE,
-		fromBig:   fromBig,
-		bits:      bits,
-		ln2:       fromBig(ln2),
-		pi:        fromBig(pi),
-		piOver2:   fromBig(half),
-		invLn2f:   1 / math.Ln2,
-		maxExpArg: maxArg,
-		minExpArg: minArg,
-		// |r| ≤ ln2/2/512 ≈ 6.8e-4 ⇒ term n decays ~(6.8e-4)^n/n!; the
-		// counts below leave ≥ 16 bits of margin at each format.
-		expTerms: bits/12 + 6,
-		sinTerms: bits/6 + 8,
-		newtIter: intLog2Ceil(bits/24) + 1,
+		new:        newE,
+		fromBig:    fromBig,
+		bits:       bits,
+		ln2:        fromBig(ln2),
+		pi:         fromBig(pi),
+		piOver2:    fromBig(half),
+		invLn2f:    1 / math.Ln2,
+		maxExpArg:  maxArg,
+		minExpArg:  minArg,
+		expTerms:   expTerms,
+		expm1Terms: expm1Terms,
+		sinhTerms:  sinhTerms,
+		invFact:    invFact,
+		sinTerms:   bits/6 + 8,
+		newtIter:   intLog2Ceil((bits+seedBits-1)/seedBits) + 1,
 	}
+}
+
+// seriesDegree returns the degree N of the shortest truncation of
+// Σ rⁿ/n! (n = 1, 1+step, 1+2·step, …) whose first omitted term,
+// r^(N+step)/(N+step)!, is at most 2^-(bits+16): 16 bits of margin
+// below the format at the kernel's largest argument r. The walk is in
+// big.Float, so no float64 product enters the count.
+func seriesDegree(r *big.Float, step, bits int) int {
+	eps := new(big.Float).SetMantExp(big.NewFloat(1), -(bits + 16))
+	term := new(big.Float).SetPrec(bigPrec).Set(r)
+	n := 1
+	for term.Cmp(eps) > 0 {
+		for range step {
+			n++
+			term.Mul(term, r)
+			term.Quo(term, new(big.Float).SetInt64(int64(n)))
+		}
+	}
+	return n - step
 }
 
 func intLog2Ceil(x int) int {
@@ -163,8 +223,8 @@ func ctx4[T Float]() *mathCtx[F4[T], T] {
 
 // ------------------------------------------------------------- engine ----
 
-// expE computes e^x: reduce x = k·ln2 + r, scale r by 2^-9, Taylor, square
-// nine times, scale by 2^k.
+// expE computes e^x: reduce x = k·ln2 + r, scale r by 2^-9, Horner on the
+// 1/n! table, square nine times, scale by 2^k.
 func expE[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 	xf := float64(x.Float())
 	switch {
@@ -181,12 +241,10 @@ func expE[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 	r := x.Sub(c.ln2.MulFloat(T(k)))
 	const m = 9
 	r = r.MulPow2(-m)
-	// Taylor: e^r = 1 + r + r²/2! + ...
-	sum := c.new(1).Add(r)
-	term := r
-	for i := 2; i <= c.expTerms; i++ {
-		term = term.Mul(r).DivFloat(T(i))
-		sum = sum.Add(term)
+	// Horner: e^r = 1 + r(1 + r(1/2! + r(1/3! + …)))
+	sum := c.invFact[c.expTerms]
+	for n := c.expTerms - 1; n >= 0; n-- {
+		sum = sum.Mul(r).Add(c.invFact[n])
 	}
 	for i := 0; i < m; i++ {
 		sum = sum.Mul(sum)
@@ -218,7 +276,7 @@ func logE[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 	fr, k := math.Frexp(xf)
 	xm := x.MulPow2(-k) // ∈ [1/2, 1), exactly
 	y := c.new(T(math.Log(fr)))
-	for i := 0; i < c.newtIter+1; i++ {
+	for i := 0; i < c.newtIter; i++ {
 		y = y.Add(xm.Mul(expE(c, y.Neg())).AddFloat(-1))
 	}
 	if k == 0 {
@@ -330,7 +388,7 @@ func asinE[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 		return res
 	}
 	z := c.new(T(math.Asin(xf)))
-	for i := 0; i < c.newtIter+1; i++ {
+	for i := 0; i < c.newtIter; i++ {
 		s, co := sincosE(c, z)
 		z = z.Add(x.Sub(s).Div(co))
 	}
@@ -475,7 +533,7 @@ func powIntE[E expLike[E, T], T Float](c *mathCtx[E, T], x E, k int) E {
 	return acc
 }
 
-// sinhE/coshE/tanhE. sinh uses a Taylor kernel for small arguments, where
+// sinhE/coshE/tanhE. sinh uses a Horner kernel for small arguments, where
 // (e^x - e^-x)/2 cancels catastrophically. Both sinh and cosh evaluate
 // exp on |x| only — exp(x) underflows to an exact zero for large
 // negative x, and a Recip of that zero would NaN-collapse instead of
@@ -498,15 +556,13 @@ func sinhE[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 		}
 		return s
 	}
-	// sinh x = x + x³/3! + x⁵/5! + ...
+	// Horner in x²: sinh x = x(1 + x²(1/3! + x²(1/5! + …)))
 	x2 := x.Mul(x)
-	s := x
-	term := x
-	for i := 3; i <= c.sinTerms; i += 2 {
-		term = term.Mul(x2).DivFloat(T((i - 1) * i))
-		s = s.Add(term)
+	s := c.invFact[c.sinhTerms]
+	for n := c.sinhTerms - 2; n >= 1; n -= 2 {
+		s = s.Mul(x2).Add(c.invFact[n])
 	}
-	return s
+	return s.Mul(x)
 }
 
 func coshE[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
@@ -559,10 +615,7 @@ func log10E[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 	if s, ok := logScaledSpecial(c, x); ok {
 		return s
 	}
-	c.once.Do(func() {
-		c.ln10 = logE(c, c.new(10))
-		c.ln10v = true
-	})
+	c.once.Do(func() { c.ln10 = logE(c, c.new(10)) })
 	return logE(c, x).Div(c.ln10)
 }
 
@@ -590,8 +643,8 @@ func exp2E[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 }
 
 // expm1E computes e^x − 1 without cancellation: for |x| < 1/2 the Taylor
-// series Σ_{n≥1} xⁿ/n! is summed directly (its leading term is x, so no
-// subtraction of nearby quantities ever happens); beyond that e^x − 1
+// series Σ_{n≥1} xⁿ/n! is evaluated as x times a Horner polynomial near 1
+// (no subtraction of nearby quantities ever happens); beyond that e^x − 1
 // loses no significance because |e^x − 1| ≥ 0.39.
 func expm1E[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 	xf := float64(x.Float())
@@ -608,16 +661,12 @@ func expm1E[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 	if math.Abs(xf) >= 0.5 {
 		return expE(c, x).AddFloat(-1)
 	}
-	// |x| < 1/2: term n decays as 2^-n/n!; the count leaves ≥16 bits of
-	// margin at every format.
-	terms := c.bits/4 + 12
-	sum := x
-	term := x
-	for i := 2; i <= terms; i++ {
-		term = term.Mul(x).DivFloat(T(i))
-		sum = sum.Add(term)
+	// Horner: e^x − 1 = x(1 + x(1/2! + x(1/3! + …)))
+	sum := c.invFact[c.expm1Terms]
+	for n := c.expm1Terms - 1; n >= 1; n-- {
+		sum = sum.Mul(x).Add(c.invFact[n])
 	}
-	return sum
+	return sum.Mul(x)
 }
 
 // log1pE computes ln(1+x) without cancellation, by Newton on expm1:
@@ -645,7 +694,7 @@ func log1pE[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 		return logE(c, onePlus)
 	}
 	y := c.new(T(math.Log1p(xf)))
-	for i := 0; i < c.newtIter+1; i++ {
+	for i := 0; i < c.newtIter; i++ {
 		u := expm1E(c, y)
 		y = y.Add(x.Sub(u).Div(u.AddFloat(1)))
 	}
@@ -675,7 +724,7 @@ func cbrtE[E expLike[E, T], T Float](c *mathCtx[E, T], x E) E {
 	j := e / 3
 	m := ax.MulPow2(-3 * j)
 	y := c.new(T(math.Cbrt(float64(m.Float()))))
-	for i := 0; i < c.newtIter+1; i++ {
+	for i := 0; i < c.newtIter; i++ {
 		y = y.MulPow2(1).Add(m.Div(y.Sqr())).DivFloat(3)
 	}
 	y = y.MulPow2(j)

@@ -473,6 +473,86 @@ func TestFloat32Math(t *testing.T) {
 	}
 }
 
+// TestMathCtxCounts checks each context's loop counts against the bound
+// they serve, so an undersized loop fails here instead of waiting for a
+// campaign seed to find it: the Newton steps before the guard step carry
+// the machine seed past the format (seedBits·2^n ≥ bits), the first
+// omitted exp, expm1 and sinh terms at their kernels' largest arguments
+// are ≤ 2^-(bits+16), no count is larger than that needs, and every 1/n!
+// entry is 1/n! to the format's precision.
+func TestMathCtxCounts(t *testing.T) {
+	checkCtxCounts(t, "F2/float64", ctx2[float64](), 53)
+	checkCtxCounts(t, "F3/float64", ctx3[float64](), 53)
+	checkCtxCounts(t, "F4/float64", ctx4[float64](), 53)
+	checkCtxCounts(t, "F2/float32", ctx2[float32](), 24)
+	checkCtxCounts(t, "F3/float32", ctx3[float32](), 24)
+	checkCtxCounts(t, "F4/float32", ctx4[float32](), 24)
+}
+
+func checkCtxCounts[E expLike[E, T], T Float](t *testing.T, name string, c *mathCtx[E, T], seedBits int) {
+	t.Run(name, func(t *testing.T) {
+		if n := c.newtIter - 1; n < 0 || seedBits<<n < c.bits || (n > 0 && seedBits<<(n-1) >= c.bits) {
+			t.Errorf("newtIter = %d: %d guard-free steps from a %d-bit seed do not just cover %d bits",
+				c.newtIter, n, seedBits, c.bits)
+		}
+
+		eps := new(big.Float).SetMantExp(big.NewFloat(1), -(c.bits + 16))
+		ln2, _ := new(big.Float).SetPrec(refPrec).SetString(ln2Str)
+		// term returns rⁿ/n! from a fresh power and factorial.
+		term := func(r *big.Float, n int) *big.Float {
+			p := new(big.Float).SetPrec(refPrec).SetInt64(1)
+			fact := big.NewInt(1)
+			for i := 1; i <= n; i++ {
+				p.Mul(p, r)
+				fact.Mul(fact, big.NewInt(int64(i)))
+			}
+			return p.Quo(p, new(big.Float).SetInt(fact))
+		}
+		for _, k := range []struct {
+			name      string
+			r         *big.Float
+			deg, step int
+		}{
+			{"exp", new(big.Float).SetMantExp(ln2, -10), c.expTerms, 1},
+			{"expm1", big.NewFloat(0.5), c.expm1Terms, 1},
+			{"sinh", big.NewFloat(0.5), c.sinhTerms, 2},
+		} {
+			if k.step == 2 && k.deg%2 == 0 {
+				t.Errorf("%s degree %d is even; the series is odd", k.name, k.deg)
+			}
+			if omitted := term(k.r, k.deg+k.step); omitted.Cmp(eps) > 0 {
+				t.Errorf("%s degree %d: first omitted term %.3g > 2^-%d", k.name, k.deg, omitted, c.bits+16)
+			}
+			if kept := term(k.r, k.deg); k.deg > 1 && kept.Cmp(eps) <= 0 {
+				t.Errorf("%s degree %d: last kept term %.3g ≤ 2^-%d, one term fewer suffices", k.name, k.deg, kept, c.bits+16)
+			}
+		}
+
+		if want := max(c.expTerms, c.expm1Terms, c.sinhTerms) + 1; len(c.invFact) != want {
+			t.Fatalf("len(invFact) = %d, want %d", len(c.invFact), want)
+		}
+		// An entry is held to 2^-bits relative, or, where 1/n! sits so low
+		// that the base type's subnormal floor cuts the expansion short
+		// (float32 from n ≈ 20 at width 4), to that floor.
+		floor := new(big.Float).SetFloat64(math.SmallestNonzeroFloat64)
+		if _, ok := any(T(0)).(float32); ok {
+			floor.SetFloat64(math.SmallestNonzeroFloat32)
+		}
+		one := big.NewFloat(1)
+		for n, e := range c.invFact {
+			want := term(one, n)
+			tol := new(big.Float).SetMantExp(want, -c.bits)
+			if tol.Cmp(floor) < 0 {
+				tol = floor
+			}
+			diff := new(big.Float).SetPrec(refPrec).Sub(toBig(e.comps64()), want)
+			if diff.Abs(diff).Cmp(tol) > 0 {
+				t.Errorf("invFact[%d] is off 1/%d! by %.3g (allowed %.3g)", n, n, diff, tol)
+			}
+		}
+	})
+}
+
 func BenchmarkExpF4(b *testing.B) {
 	x := New4(1.2345)
 	var z Float64x4
