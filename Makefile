@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check test race vet build crossbuild lint mflint gensync prove prove-smoke fuzz-smoke conformance bench-smoke bench-ablation fig9 serve-smoke perf-smoke bench-serve bench-proxy proxy-smoke chaos chaos-smoke ledger-check ledger-pairs
+.PHONY: check test race vet build crossbuild lint mflint gensync prove prove-smoke fuzz-smoke conformance conformance-math bench-smoke bench-ablation fig9 serve-smoke perf-smoke bench-serve bench-proxy proxy-smoke chaos chaos-smoke ledger-check ledger-pairs
 
 # check is the full pre-merge gate: build (natively and for a big-endian
 # target), static analysis (vet + the domain-aware mflint contract
@@ -197,15 +197,26 @@ fuzz-smoke:
 	$(GO) test ./serve/wire -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./serve/proxy -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME)
 
-# conformance runs a short differential campaign against the exact
-# oracles (the registry includes the sumexact/dotexact zero-ulp entries
-# and the elementary-function tier — every transcendental op at every
-# width against the big.Float refmath oracle), then the
-# superaccumulator's order-invariance tier; nonzero exit on any
-# error-bound violation (TESTING.md).
-conformance:
+# conformance runs conformance-math, then a short differential campaign
+# against the exact oracles (the registry includes the sumexact/dotexact
+# zero-ulp entries and the elementary-function tier — every
+# transcendental op at every width against the big.Float refmath
+# oracle), then the superaccumulator's order-invariance tier; nonzero
+# exit on any error-bound violation (TESTING.md).
+conformance: conformance-math
 	$(GO) run ./cmd/mffuzz -n 400 -blas 5
 	$(GO) test -count=1 ./internal/exact/
+
+# conformance-math reruns every elementary-function op (exp_2 …
+# hypot_4) with 1000 cases at seeds 7 and 42, the other two seeds the
+# TESTING.md floors were measured at (conformance's all-ops pass runs
+# seed 1).
+MATH_FNS := exp expm1 exp2 log log1p log2 log10 pow sin cos tan asin acos atan atan2 sinh cosh tanh cbrt hypot
+comma := ,
+MATH_OPS := $(subst $() $(),$(comma),$(foreach f,$(MATH_FNS),$(f)_2 $(f)_3 $(f)_4))
+conformance-math:
+	$(GO) run ./cmd/mffuzz -n 1000 -seed 7 -ops $(MATH_OPS)
+	$(GO) run ./cmd/mffuzz -n 1000 -seed 42 -ops $(MATH_OPS)
 
 # bench-smoke is a fast sanity pass over the scalar-kernel benchmarks.
 bench-smoke:
