@@ -18,7 +18,7 @@ import (
 
 // startTestServer returns a running server on a loopback port and a
 // cleanup-registered shutdown.
-func startTestServer(t *testing.T, cfg Config) *Server {
+func startTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	s := New(cfg)
@@ -46,7 +46,7 @@ type testConn struct {
 	bw *bufio.Writer
 }
 
-func dialTest(t *testing.T, s *Server) *testConn {
+func dialTest(t testing.TB, s *Server) *testConn {
 	t.Helper()
 	nc, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
@@ -157,6 +157,55 @@ func TestExpiredScalarFrame(t *testing.T) {
 	st := s.Stats().Snapshot()
 	if st.DeadlineMisses != 1 || st.Batches != 0 || st.QueueDepth != 0 {
 		t.Fatalf("deadline_misses=%d batches=%d queue_depth=%d, want 1/0/0", st.DeadlineMisses, st.Batches, st.QueueDepth)
+	}
+}
+
+// BenchmarkScalarDeadline pipelines single-element width-2 add frames
+// over one loopback connection, once without a deadline and once with a
+// far-future one, and reports ns and allocs per frame (server and client
+// side together). The difference between the two is the cost of the
+// scalar lane's deadline path: the flush pulled toward a member deadline
+// in enqueue and the per-member expiry check in exec.
+func BenchmarkScalarDeadline(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		deadline time.Duration
+	}{{"no-deadline", 0}, {"far-deadline", time.Hour}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const burst = 256 // the default MaxBatch: each burst flushes its lane on size
+			s := startTestServer(b, Config{})
+			c := dialTest(b, s)
+			req := &wire.Request{Op: wire.OpAdd, Width: 2, Count: 1, X: []float64{1, 0}, Y: []float64{2, 0}}
+			if bc.deadline > 0 {
+				req.Deadline = time.Now().Add(bc.deadline)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for sent := 0; sent < b.N; {
+				k := min(burst, b.N-sent)
+				for i := 0; i < k; i++ {
+					req.ID = uint64(sent + i)
+					if err := wire.WriteRequest(c.bw, req); err != nil {
+						b.Fatalf("WriteRequest: %v", err)
+					}
+				}
+				if err := c.bw.Flush(); err != nil {
+					b.Fatalf("flush: %v", err)
+				}
+				// ReadResponse, not recv: recv arms a read deadline per
+				// response, which costs more than the path measured here.
+				for i := 0; i < k; i++ {
+					resp, err := wire.ReadResponse(c.br)
+					if err != nil {
+						b.Fatalf("ReadResponse: %v", err)
+					}
+					if resp.Status != wire.StatusOK {
+						b.Fatalf("response %d: status %v", resp.ID, resp.Status)
+					}
+				}
+				sent += k
+			}
+		})
 	}
 }
 
