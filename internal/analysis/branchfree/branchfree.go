@@ -53,7 +53,8 @@ var Analyzer = &analysis.Analyzer{
 // stdlibAllowed are non-module callees that compile to branch-free code.
 // math.FMA and math.Sqrt are hardware instructions on every supported
 // target; the bit conversions are register moves; bits.Mul64 is a single
-// widening multiply (MUL/UMULH-class) with compiler intrinsic support.
+// widening multiply (MUL/UMULH-class) and bits.Add64 an add with carry
+// (ADD/ADC-class), both with compiler intrinsic support.
 var stdlibAllowed = map[string]bool{
 	"math.FMA":             true,
 	"math.Sqrt":            true,
@@ -62,6 +63,7 @@ var stdlibAllowed = map[string]bool{
 	"math.Float64bits":     true,
 	"math.Float64frombits": true,
 	"bits.Mul64":           true,
+	"bits.Add64":           true,
 }
 
 // builtinsAllowed are structural builtins with no data-dependent branch.

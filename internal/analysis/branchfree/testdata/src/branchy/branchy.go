@@ -3,6 +3,7 @@ package branchy
 
 import (
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
@@ -52,6 +53,18 @@ func calls(x, y float64) float64 {
 	z = min(z, x)         // want `builtin min \(a data-dependent select\)`
 	z = float64(int64(z)) // conversions are rounding barriers, not calls
 	return z
+}
+
+// wide is 128-bit integer arithmetic through the allowlisted intrinsics;
+// the allowlist names only those the kernels use, so bits.Sub64 is out.
+//
+//mf:branchfree
+func wide(x, y, acc uint64) (uint64, uint64) {
+	hi, lo := bits.Mul64(x, y)
+	lo, c := bits.Add64(lo, acc, 0)
+	hi, _ = bits.Add64(hi, 0, c)
+	_, _ = bits.Sub64(x, y, 0) // want `calls bits.Sub64, which is not marked`
+	return hi, lo
 }
 
 //mf:branchfree

@@ -16,6 +16,16 @@
 // 2^30 deposits (renorm), keeping the hot path free of data-dependent
 // control flow (//mf:branchfree, machine-checked by mflint).
 //
+// The bulk folds (AddValues, AddDotSlab) also procrastinate the
+// alignment, as Liguori's accumulators do: each value, or each exact
+// product, is one 128-bit unsigned add of its significand into a
+// stack-local slot chosen by its exponent's high bits and its sign,
+// pre-shifted by the exponent's low three bits. The slots reach the bins
+// once per block of 2^15 deposits, the most a slot takes without
+// wrapping. Specials deposit nothing: the deposit loop keeps one bit,
+// "some exponent field was all ones", and only a block that saw one
+// re-reads its elements for the NaN/Inf flags.
+//
 // Fold-down (Sum / SumExpansion) rounds the accumulated integer to a
 // float64 — or greedily to a width-w expansion, matching the canonical
 // decomposition the diffuzz oracle uses — correctly in the IEEE-754
@@ -61,10 +71,30 @@ const (
 	binCount = 134
 
 	// renormEvery bounds deposits between carry propagations. Each
-	// deposit adds a chunk of magnitude < 2^32 per bin, and block entry
-	// points may overshoot by one element (≤ 16 deposits), so bins stay
-	// below (2^30+16)·2^32 < 2^63 between renorms — no int64 overflow.
+	// deposit, and each slot-table flush (see flush), moves a bin by
+	// less than 2^32, and the budget is checked after every charge, so
+	// bins stay below (2^30+2)·2^32 < 2^63 between renorms — no int64
+	// overflow.
 	renormEvery = 1 << 30
+
+	// slotShift sets the slot table in front of the bins (see slots): a
+	// deposit at position q (its ulp's bit offset above 2^binExp) goes to
+	// group q>>slotShift, pre-shifted by q's low slotShift bits. Product
+	// positions are at most 2045+2045 = 4090, so 512 groups cover them.
+	slotShift  = 3
+	slotPairs  = 4096 >> slotShift
+	slotSpread = 1<<slotShift - 1 // the largest pre-shift
+
+	// Value deposits sit at positions u+1074 ∈ [1074, 3119], in the
+	// groups based at bins valueBinLo..valueBinHi-1 (see flush).
+	valueBinLo = 1074 / chunkBits
+	valueBinHi = 3119/chunkBits + 1
+
+	// blockLen is the most deposits a slot can take between flushes. A
+	// deposit is at most a product of two 53-bit significands
+	// pre-shifted by slotSpread bits, below 2^(106+7) = 2^113, so 2^15 of
+	// them stay below 2^128; one more doubling could wrap the slot.
+	blockLen = 1 << 15
 )
 
 // Accumulator is a superaccumulator. The zero value is an empty sum,
@@ -77,7 +107,7 @@ type Accumulator struct {
 	// top accumulates carries propagated out of the last bin; after a
 	// renorm it is the two's-complement sign extension of the value.
 	top     int64
-	pending int // deposits since the last renorm
+	pending int // deposits and slot-table flushes since the last renorm
 	// Special-value flags (0 or 1), folded per IEEE at fold-down.
 	nan, pinf, ninf uint64
 }
@@ -85,26 +115,32 @@ type Accumulator struct {
 // Reset empties the accumulator for reuse.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
 
-// decompose splits the IEEE-754 bit pattern b into an unsigned integer
+// split splits the IEEE-754 bit pattern b into an unsigned integer
 // significand m and an unbiased-shifted exponent u such that a finite
 // value is ±m·2^(u-1074) with u ∈ [0, 2045] — the uniform fixed-point
-// view that makes normals and subnormals a single branch-free case. For
-// Inf/NaN (flagged in the returns) m is masked to zero so the deposit
-// contributes nothing.
+// view that makes normals and subnormals a single branch-free case.
+// spec is 1 iff the exponent field is all ones (Inf or NaN); m is then
+// masked to zero, so the deposit contributes nothing.
+//
+//mf:branchfree
+func split(b uint64) (m, u, sgnBit, spec uint64) {
+	e := b >> 52 & 0x7FF
+	nz := (e + 2047) >> 11 // 0 for zero/subnormal exponent, 1 otherwise
+	spec = (e + 1) >> 11   // 1 iff e == 0x7FF (Inf or NaN)
+	m = (b&(1<<52-1) | nz<<52) & (spec - 1)
+	u = e - nz // max(e,1)-1, branch-free
+	sgnBit = b >> 63
+	return
+}
+
+// decompose is split with the special class told apart: nan and inf
+// are 0/1 flags.
 //
 //mf:branchfree
 func decompose(b uint64) (m, u, sgnBit, nan, inf uint64) {
-	e := b >> 52 & 0x7FF
-	f := b & (1<<52 - 1)
-	nz := (e + 2047) >> 11 // 0 for zero/subnormal exponent, 1 otherwise
-	spec := (e + 1) >> 11  // 1 iff e == 0x7FF (Inf or NaN)
-	fnz := (f | (0 - f)) >> 63
-	m = (f | nz<<52) &^ (0 - spec)
-	u = e - nz // max(e,1)-1, branch-free
-	sgnBit = b >> 63
-	nan = spec & fnz
-	inf = spec &^ fnz
-	return
+	m, u, sgnBit, spec := split(b)
+	fnz := (b<<12 | (0 - b<<12)) >> 63 // 1 iff the fraction field is nonzero
+	return m, u, sgnBit, spec & fnz, spec &^ fnz
 }
 
 // add deposits one float64 into the bins: the ≤53-bit significand,
@@ -208,94 +244,155 @@ func (a *Accumulator) AddProduct(x, y float64) {
 	a.bump(1)
 }
 
-// AddValues folds every value in xs. For expansion operands pass the
-// flat component slab: an expansion's value is the exact sum of its
-// components, so summing components individually is summing the values.
-//
-//mf:hotpath
-func (a *Accumulator) AddValues(xs []float64) {
-	for len(xs) > 0 {
-		n := renormEvery - a.pending
-		if n > len(xs) {
-			n = len(xs)
-		}
-		for _, x := range xs[:n] {
-			a.add(x)
-		}
-		a.bump(n)
-		xs = xs[n:]
-	}
-}
+// slots is the table the bulk folds deposit into before the bins, which
+// puts off the alignment as well as the carries (Liguori 2024): a
+// 128-bit unsigned sum per (group, sign) at index g<<1 | sign, where
+// group g takes the deposits at positions 8g..8g+7, each moved up by
+// its position's low slotShift bits. So pair g holds
+// (pos − neg)·2^(binExp + 8g), and a deposit is one 128-bit add where
+// the bins take three or five signed chunk writes. flush moves the
+// table into the bins once per block of at most blockLen deposits. The
+// table lives on the folding call's stack (16 KiB).
+type slots [2 * slotPairs]slot
 
-// AddDotSlab folds the exact dot product of two width-w component slabs
-// (wire layout: element i occupies s[i*w:(i+1)*w]). Each element
-// product expands to the w² exact cross products of the components —
-// every one deposited exactly, so the fold is the correctly rounded
-// true dot product for any finite inputs. w must be 1..4 and x and y
-// must hold the same whole number of elements; AddDotSlab panics
-// otherwise.
-//
-//mf:hotpath
-func (a *Accumulator) AddDotSlab(w int, x, y []float64) {
-	if w < 1 || w > maxDotWidth {
-		panic("exact.AddDotSlab: width outside 1..4")
-	}
-	if len(x) != len(y) || len(x)%w != 0 {
-		panic("exact.AddDotSlab: slabs differ in length or end in a partial element")
-	}
-	if w == 1 {
-		for i := range x {
-			a.addProd(x[i], y[i])
-			a.bump(1)
-		}
-		return
-	}
-	// Blocks end at the element whose w² deposits reach the renorm
-	// budget, so renorms land exactly where per-element bumps put them.
-	ww := w * w
-	for len(x) > 0 {
-		n := min((renormEvery-a.pending+ww-1)/ww*w, len(x))
-		a.addDotElems(w, x[:n], y[:n])
-		a.bump(n / w * ww)
-		x, y = x[n:], y[n:]
-	}
-}
+// slot is one 128-bit unsigned sum.
+type slot struct{ lo, hi uint64 }
 
-// maxDotWidth is the widest element AddDotSlab folds: addDotElems holds
-// one element's decomposed components in fixed 4-wide scratch.
-const maxDotWidth = 4
-
-// dotComp is one decomposed component (see decompose): significand,
-// shifted exponent and sign bit.
-type dotComp struct{ m, u, s uint64 }
-
-// addDotElems deposits the w² exact cross products of every element
-// pair of x and y, whole width-w elements with 1 ≤ w ≤ 4. It decomposes
-// each component once per element, not once per product, and folds the
-// special-value flags a row at a time with w-bit masks over y's
-// components (bit k for y_k), kept in registers and turned into 0/1
-// flags once per call (DESIGN.md §3.3). That leaves addProd's multiply,
-// shift and five deposits in the w² loop. Callers own the
-// pending-deposit budget (w² per element, see bump).
+// addValues deposits every value of xs into t, one 128-bit add each,
+// and returns 1 if some exponent field was all ones (Inf or NaN, which
+// deposit nothing), else 0. Callers keep len(xs) ≤ blockLen.
 //
 //mf:branchfree
 //mf:hotpath
-func (a *Accumulator) addDotElems(w int, x, y []float64) {
+func (t *slots) addValues(xs []float64) (spec uint64) {
+	for _, x := range xs {
+		m, u, sb, sp := split(math.Float64bits(x))
+		q := u + 1074 // as in add
+		c := &t[(q>>slotShift<<1|sb)&(2*slotPairs-1)]
+		var carry uint64
+		c.lo, carry = bits.Add64(c.lo, m<<(q&slotSpread), 0)
+		c.hi += carry
+		spec |= sp
+	}
+	return spec
+}
+
+// addDots deposits the w² exact cross products of every element pair
+// of x and y, whole width-w elements with 1 ≤ w ≤ 4, into t: one
+// widening multiply and one 128-bit add each. It splits each component
+// once per element, y's into fixed 4-wide scratch, and returns 1 if
+// some exponent field was all ones, else 0. Callers keep the product
+// count ≤ blockLen.
+//
+//mf:branchfree
+//mf:hotpath
+func (t *slots) addDots(w int, x, y []float64) (spec uint64) {
 	var yc [maxDotWidth]dotComp
+	for e := 0; e < len(x); e += w {
+		for k, v := range y[e : e+w] {
+			m, u, sb, sp := split(math.Float64bits(v))
+			yc[k] = dotComp{m, u, sb}
+			spec |= sp
+		}
+		for _, v := range x[e : e+w] {
+			mx, ux, sx, sp := split(math.Float64bits(v))
+			spec |= sp
+			for _, c := range yc[:w] {
+				q := ux + c.u // product ulp position above 2^binExp, as in addProd
+				// Pre-shifting mx (< 2^53) by ≤ 7 bits keeps it in 64 bits,
+				// so the multiply yields the pre-shifted product.
+				hi, lo := bits.Mul64(mx<<(q&slotSpread), c.m)
+				d := &t[(q>>slotShift<<1|sx^c.s)&(2*slotPairs-1)]
+				var carry uint64
+				d.lo, carry = bits.Add64(d.lo, lo, 0)
+				d.hi, _ = bits.Add64(d.hi, hi, carry)
+			}
+		}
+	}
+	return spec
+}
+
+// flush adds t's value into the bins and empties t. Group g sits 8g
+// bits above bin 0: based at bin g>>2, 8·(g&3) ≤ 24 bits up. flush
+// walks the bins upward with a window of four: the four groups based
+// at bin i add their slots' signed 32-bit chunk differences, moved up
+// 8·(g&3) bits, into bins i..i+3 of the window; then bin i leaves it
+// as one addend in [0, 2^32), its carry going on to bin i+1 as in
+// renorm. So a flush moves each bin by less than 2^32, as one deposit
+// does, and callers charge it as one. It walks the groups based at bins
+// lo..hi-1, which must hold every nonempty slot; hi ≤ slotPairs/4.
+//
+//mf:branchfree
+//mf:hotpath
+func (a *Accumulator) flush(t *slots, lo, hi int) {
+	var w0, w1, w2, w3 int64
+	for i := lo; i < hi; i++ {
+		// Horner over the four groups, top one first: each step moves
+		// the sums up 8 bits and adds the next group's chunks.
+		var v0, v1, v2, v3 int64
+		q := (*[8]slot)(t[8*i:])
+		for r := 6; r >= 0; r -= 2 {
+			p, n := q[r], q[r+1]
+			v0 = v0<<8 + int64(p.lo&chunkMask) - int64(n.lo&chunkMask)
+			v1 = v1<<8 + int64(p.lo>>chunkBits) - int64(n.lo>>chunkBits)
+			v2 = v2<<8 + int64(p.hi&chunkMask) - int64(n.hi&chunkMask)
+			v3 = v3<<8 + int64(p.hi>>chunkBits) - int64(n.hi>>chunkBits)
+			q[r], q[r+1] = slot{}, slot{}
+		}
+		w0 += v0
+		a.bins[i] += w0 & chunkMask
+		w0, w1, w2, w3 = w1+v1+w0>>chunkBits, w2+v2, w3+v3, 0
+	}
+	// The window now holds bins hi..hi+2: the top group's slots reach
+	// 2^120 above bin hi, so what carries out of hi+2 is below 2^25 in
+	// magnitude.
+	b := (*[4]int64)(a.bins[hi:])
+	b[0] += w0 & chunkMask
+	w1 += w0 >> chunkBits
+	b[1] += w1 & chunkMask
+	w2 += w1 >> chunkBits
+	b[2] += w2 & chunkMask
+	b[3] += w2 >> chunkBits
+}
+
+// valueFlags folds the special-value flags of xs as add does.
+//
+//mf:branchfree
+//mf:hotpath
+func (a *Accumulator) valueFlags(xs []float64) {
+	var nan, pinf, ninf uint64
+	for _, x := range xs {
+		_, _, sb, n, inf := decompose(math.Float64bits(x))
+		nan |= n
+		pinf |= inf & (1 - sb)
+		ninf |= inf & sb
+	}
+	a.nan |= nan
+	a.pinf |= pinf
+	a.ninf |= ninf
+}
+
+// dotFlags folds the special-value flags of the cross products of x
+// and y (whole width-w elements) as addProd would, a row at a time with
+// w-bit masks over y's components (bit k for y_k), kept in registers
+// and turned into 0/1 flags once per call (DESIGN.md §3.3).
+//
+//mf:branchfree
+//mf:hotpath
+func (a *Accumulator) dotFlags(w int, x, y []float64) {
 	wmask := uint64(1)<<w - 1
 	var nanAcc, pinfAcc, ninfAcc uint64
 	for e := 0; e < len(x); e += w {
 		var ynan, yinf, yzero, ysgn uint64
 		for k, v := range y[e : e+w] {
-			m, u, sb, nan, inf := decompose(math.Float64bits(v))
-			yc[k] = dotComp{m, u, sb}
+			m, _, sb, nan, inf := decompose(math.Float64bits(v))
 			ynan |= nan << k
 			yinf |= inf << k
 			yzero |= (((m | (0 - m)) >> 63) ^ 1) &^ (nan | inf) << k
 			ysgn |= sb << k
 		}
 		for _, v := range x[e : e+w] {
-			mx, ux, sx, nanx, infx := decompose(math.Float64bits(v))
+			mx, _, sx, nanx, infx := decompose(math.Float64bits(v))
 			zx := (((mx | (0 - mx)) >> 63) ^ 1) &^ (nanx | infx)
 			// Row x_j's NaN products: all if x_j is NaN, y's NaNs, y's
 			// zeros if x_j is Inf, y's Infs if x_j is zero. Its Inf
@@ -307,27 +404,70 @@ func (a *Accumulator) addDotElems(w int, x, y []float64) {
 			nanAcc |= nanRow
 			pinfAcc |= infRow &^ sgnRow
 			ninfAcc |= infRow & sgnRow
-			for _, c := range yc[:w] {
-				hi, lo := bits.Mul64(mx, c.m)
-				q := ux + c.u // product ulp position above 2^binExp, as in addProd
-				s := q & 31
-				plo := lo << s
-				pmid := hi<<s | lo>>(64-s) // s == 0 shifts by 64: defined, yields 0
-				phi := hi >> (64 - s)
-				sgn := int64(1) - int64((sx^c.s)<<1)
-				b := (*[5]int64)(a.bins[q>>5:])
-				b[0] += sgn * int64(plo&chunkMask)
-				b[1] += sgn * int64(plo>>chunkBits)
-				b[2] += sgn * int64(pmid&chunkMask)
-				b[3] += sgn * int64(pmid>>chunkBits)
-				b[4] += sgn * int64(phi)
-			}
 		}
 	}
 	a.nan |= (nanAcc | (0 - nanAcc)) >> 63
 	a.pinf |= (pinfAcc | (0 - pinfAcc)) >> 63
 	a.ninf |= (ninfAcc | (0 - ninfAcc)) >> 63
 }
+
+// AddValues folds every value in xs. For expansion operands pass the
+// flat component slab: an expansion's value is the exact sum of its
+// components, so summing components individually is summing the values.
+// It deposits through the slot table in blocks of blockLen values; a
+// block that holds an Inf or NaN takes a second, flags-only pass.
+//
+//mf:hotpath
+func (a *Accumulator) AddValues(xs []float64) {
+	var t slots
+	for len(xs) > 0 {
+		n := min(len(xs), blockLen)
+		if t.addValues(xs[:n]) != 0 {
+			a.valueFlags(xs[:n])
+		}
+		a.flush(&t, valueBinLo, valueBinHi)
+		a.bump(1)
+		xs = xs[n:]
+	}
+}
+
+// AddDotSlab folds the exact dot product of two width-w component slabs
+// (wire layout: element i occupies s[i*w:(i+1)*w]). Each element
+// product expands to the w² exact cross products of the components —
+// every one deposited exactly, so the fold is the correctly rounded
+// true dot product for any finite inputs. w must be 1..4 and x and y
+// must hold the same whole number of elements; AddDotSlab panics
+// otherwise. Like AddValues it deposits through the slot table, in
+// blocks of the most whole elements whose products fit blockLen.
+//
+//mf:hotpath
+func (a *Accumulator) AddDotSlab(w int, x, y []float64) {
+	if w < 1 || w > maxDotWidth {
+		panic("exact.AddDotSlab: width outside 1..4")
+	}
+	if len(x) != len(y) || len(x)%w != 0 {
+		panic("exact.AddDotSlab: slabs differ in length or end in a partial element")
+	}
+	var t slots
+	block := blockLen / (w * w) * w
+	for len(x) > 0 {
+		n := min(len(x), block)
+		if t.addDots(w, x[:n], y[:n]) != 0 {
+			a.dotFlags(w, x[:n], y[:n])
+		}
+		a.flush(&t, 0, slotPairs/4)
+		a.bump(1)
+		x, y = x[n:], y[n:]
+	}
+}
+
+// maxDotWidth is the widest element AddDotSlab folds: addDots holds
+// one element's split components in fixed 4-wide scratch.
+const maxDotWidth = 4
+
+// dotComp is one split component (see split): significand, shifted
+// exponent and sign bit.
+type dotComp struct{ m, u, s uint64 }
 
 // Merge folds b's accumulated state into a, bit-exactly: folding down
 // a afterwards gives the identical result to accumulating all of both

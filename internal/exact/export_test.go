@@ -16,13 +16,16 @@ const BinCount = binCount
 // RenormEvery is the renorm budget: deposits between carry propagations.
 const RenormEvery = renormEvery
 
+// BlockLen is the most deposits the slot table takes between flushes.
+const BlockLen = blockLen
+
 // SetPending sets the deposits charged since the last renorm, so a test
 // can start a fold just short of the budget.
 func (a *Accumulator) SetPending(n int) { a.pending = n }
 
-// AddDotSlabPerElement is the definition AddDotSlab's hoisted loop must
-// match state for state: every cross product through addProd, the
-// budget charged w² per element.
+// AddDotSlabPerElement is the definition AddDotSlab must match in
+// renormalized state: every cross product through addProd, the budget
+// charged w² per element.
 func (a *Accumulator) AddDotSlabPerElement(w int, x, y []float64) {
 	for i := 0; i+w <= len(x); i += w {
 		for j := 0; j < w; j++ {

@@ -33,44 +33,17 @@ func Dot(x, y []float64) float64 {
 // Sum2 returns the sum of the expansion values in xs, rounded to the
 // canonical width-2 expansion of the exact result.
 func Sum2(xs []mf.Float64x2) mf.Float64x2 {
-	var a Accumulator
-	for i := range xs {
-		a.add(xs[i][0])
-		a.add(xs[i][1])
-		a.bump(2)
-	}
-	var r mf.Float64x2
-	copy(r[:], a.SumExpansion(2))
-	return r
+	return mf.Float64x2(sumExpansion(2, flat(xs)))
 }
 
 // Sum3 is Sum2 at width 3.
 func Sum3(xs []mf.Float64x3) mf.Float64x3 {
-	var a Accumulator
-	for i := range xs {
-		a.add(xs[i][0])
-		a.add(xs[i][1])
-		a.add(xs[i][2])
-		a.bump(3)
-	}
-	var r mf.Float64x3
-	copy(r[:], a.SumExpansion(3))
-	return r
+	return mf.Float64x3(sumExpansion(3, flat(xs)))
 }
 
 // Sum4 is Sum2 at width 4.
 func Sum4(xs []mf.Float64x4) mf.Float64x4 {
-	var a Accumulator
-	for i := range xs {
-		a.add(xs[i][0])
-		a.add(xs[i][1])
-		a.add(xs[i][2])
-		a.add(xs[i][3])
-		a.bump(4)
-	}
-	var r mf.Float64x4
-	copy(r[:], a.SumExpansion(4))
-	return r
+	return mf.Float64x4(sumExpansion(4, flat(xs)))
 }
 
 // Dot2 returns the dot product of the expansion vectors x and y,
@@ -97,6 +70,15 @@ func Dot4(x, y []mf.Float64x4) mf.Float64x4 {
 		panic("exact.Dot4: operand lengths differ")
 	}
 	return mf.Float64x4(dotExpansion(4, flat(x), flat(y)))
+}
+
+// sumExpansion folds a width-w component slab through AddValues (an
+// expansion's value is the exact sum of its components) and rounds to
+// the canonical width-w expansion.
+func sumExpansion(w int, xs []float64) []float64 {
+	var a Accumulator
+	a.AddValues(xs)
+	return a.SumExpansion(w)
 }
 
 // dotExpansion folds two width-w component slabs through AddDotSlab and

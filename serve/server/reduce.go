@@ -31,9 +31,12 @@ var (
 	_ [wire.ReduceRawElems - exact.EncodedWords]struct{}
 )
 
-// parallelFoldElems is the chunk size (in expansion elements) above
-// which a fold shards across the configured workers. Below it the pool
-// handoff costs more than the integer deposits save.
+// parallelFoldElems is the chunk size (in expansion elements) from which
+// a fold shards across the configured workers. It sits well above the
+// per-shard break-even: on a 2-vCPU Xeon the pool handoff (mfledger's
+// blas.parallel_ns) is ~1.1 µs and a shard's slot-table flush 1–2 µs,
+// while half a chunk this size holds ≥ 11 µs of deposits even for the
+// cheapest fold (exact.sum1, ~5.5 ns/element).
 const parallelFoldElems = 4096
 
 type reduction struct {
